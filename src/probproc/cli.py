@@ -9,7 +9,8 @@
 
 P, Q and T are inline terms in the concrete syntax, or @FILE to read the
 term from a file.  All numbers print as exact fractions.  Exit status:
-0 equivalent/success, 1 distinguished (or some check failed), 2 bad input.
+0 equivalent/success, 1 distinguished (or some check failed), 2 bad input
+or an internal error, reported on one line.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import GenConfig, run_checks
-from .parser import ParseError, parse_any, parse_priority, parse_term, parse_test
+from .harness import CHECKS, GenConfig, run_checks
+from .parser import ParseError, parse_priority, parse_term, parse_test
 from .pts import CyclicGraphError, to_dot, to_json, validate
-from .readytrace import UNDEFINED, parse_trace, ready_trace_equivalent, trace_probability
+from .readytrace import parse_trace, ready_trace_equivalent, trace_probability
 from .semantics import compile_term, composition_warnings
 from .terms import EMPTY_ORDER, render
 from .testing import distinguishing_test, apply_test, bounded_testing_equivalent
@@ -44,13 +45,13 @@ def _compile_checked(text: str, order, allow_success: bool):
     term = (parse_test if allow_success else parse_term)(_read_input(text))
     for warning in composition_warnings(term):
         print(f"warning: {warning}", file=sys.stderr)
-    return term, compile_term(term, order)
+    return compile_term(term, order)
 
 
 def _cmd_equiv(args) -> int:
     order = _load_order(args.prio)
-    _, left = _compile_checked(args.left, order, allow_success=False)
-    _, right = _compile_checked(args.right, order, allow_success=False)
+    left = _compile_checked(args.left, order, allow_success=False)
+    right = _compile_checked(args.right, order, allow_success=False)
     if args.method == "testing":
         verdict = bounded_testing_equivalent(left, right, depth=args.depth)
         if verdict.equivalent:
@@ -74,28 +75,24 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_res(args) -> int:
     order = _load_order(args.prio)
-    _, process = _compile_checked(args.process, order, allow_success=False)
-    _, test = _compile_checked(args.test, order, allow_success=True)
+    process = _compile_checked(args.process, order, allow_success=False)
+    test = _compile_checked(args.test, order, allow_success=True)
     print(apply_test(process, test))
     return 0
 
 
 def _cmd_trace_prob(args) -> int:
     order = _load_order(args.prio)
-    _, process = _compile_checked(args.process, order, allow_success=False)
-    trace = parse_trace(args.trace)
-    value = trace_probability(process, trace)
-    if value is UNDEFINED:
-        print("undefined")
-    else:
-        print(f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value))
+    process = _compile_checked(args.process, order, allow_success=False)
+    # An undefined probability prints as "undefined".
+    print(trace_probability(process, parse_trace(args.trace)))
     return 0
 
 
 def _cmd_distinguish(args) -> int:
     order = _load_order(args.prio)
-    _, left = _compile_checked(args.left, order, allow_success=False)
-    _, right = _compile_checked(args.right, order, allow_success=False)
+    left = _compile_checked(args.left, order, allow_success=False)
+    right = _compile_checked(args.right, order, allow_success=False)
     witness = distinguishing_test(left, right)
     if witness is None:
         print("not distinguishable")
@@ -109,10 +106,7 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_compile(args) -> int:
     order = _load_order(args.prio)
-    term = parse_any(_read_input(args.process))
-    for warning in composition_warnings(term):
-        print(f"warning: {warning}", file=sys.stderr)
-    pts = compile_term(term, order)
+    pts = _compile_checked(args.process, order, allow_success=True)
     problems = validate(pts, allow_success=True)
     for problem in problems:
         print(f"warning: {problem}", file=sys.stderr)
@@ -181,17 +175,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--samples", type=int, default=200)
     oracle.add_argument("--alphabet", type=int, default=2)
     oracle.add_argument("--term-depth", type=int, default=3)
-    oracle.add_argument(
-        "--check",
-        default=None,
-        choices=(
-            "coincidence",
-            "congruence",
-            "distributivity",
-            "axioms",
-            "symbolic-numeric",
-        ),
-    )
+    oracle.add_argument("--check", default=None, choices=tuple(CHECKS))
     oracle.set_defaults(func=_cmd_oracle)
     return parser
 
@@ -203,6 +187,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, CyclicGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 means "distinguished", so an internal failure must not
+        # escape as a traceback with that status.
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -35,17 +35,9 @@ from .fixtures import (
     PREFIX_DISTRIB_RIGHT,
 )
 from .parser import parse_term
-from .pts import Pts
+from .pts import Pts, condition_view, root_view, view_menu_distribution
 from .ratfunc import RationalFn
-from .readytrace import (
-    ReadyTrace,
-    UNDEFINED,
-    condition_view,
-    ready_trace_equivalent,
-    root_view,
-    trace_probability,
-    view_menu_distribution,
-)
+from .readytrace import ReadyTrace, UNDEFINED, ready_trace_equivalent, trace_probability
 from .semantics import compile_term
 from .terms import (
     EMPTY_ORDER,
@@ -59,6 +51,7 @@ from .terms import (
     SyncPar,
     Term,
     has_prob_choice,
+    map_children,
     render,
 )
 from .testing import (
@@ -112,32 +105,45 @@ def random_term(cfg: GenConfig, rng: random.Random | None = None) -> Term:
     return _random_term(cfg, rng, cfg.max_depth)
 
 
-def _random_term(cfg: GenConfig, rng: random.Random, depth: int) -> Term:
+# Operator weights over _KINDS and the odds that a depth-0 leaf is 0.  The
+# aligned pieces of the context law draw with their own mix; seeded reports
+# replay only while both mixes stay as they are.
+_KINDS = ("choice", "prob", "prio", "sync", "shared", "empty")
+_TERM_SHAPE = ((5, 4, 1, 1, 1, 1), 0.4)
+_ALIGNED_SHAPE = ((6, 3, 1, 1, 1, 1), 0.3)
+
+
+def _random_term(
+    cfg: GenConfig,
+    rng: random.Random,
+    depth: int,
+    pool: tuple[str, ...] | None = None,
+    shape: tuple[tuple[int, ...], float] = _TERM_SHAPE,
+) -> Term:
+    labels = cfg.labels if pool is None else pool
+    weights, leaf_empty = shape
     if depth <= 0:
-        if rng.random() < 0.4:
+        if rng.random() < leaf_empty:
             return Empty()
-        return ExternalChoice(((rng.choice(cfg.labels), Empty()),))
-    kind = rng.choices(
-        ("choice", "prob", "prio", "sync", "shared", "empty"),
-        weights=(5, 4, 1, 1, 1, 1),
-    )[0]
+        return ExternalChoice(((rng.choice(labels), Empty()),))
+    kind = rng.choices(_KINDS, weights=weights)[0]
     if kind == "empty":
         return Empty()
+
+    def sub() -> Term:
+        return _random_term(cfg, rng, depth - 1, pool, shape)
+
     if kind == "choice":
-        width = rng.randint(1, min(cfg.max_branching, len(cfg.labels)))
-        labels = rng.sample(cfg.labels, width)
+        width = rng.randint(1, min(cfg.max_branching, len(labels)))
         return ExternalChoice(
-            tuple((label, _random_term(cfg, rng, depth - 1)) for label in sorted(labels))
+            tuple((label, sub()) for label in sorted(rng.sample(labels, width)))
         )
     if kind == "prob":
         width = rng.randint(2, max(2, cfg.max_branching))
-        weights = _random_weights(cfg, rng, width)
-        return ProbChoice(
-            tuple((w, _random_term(cfg, rng, depth - 1)) for w in weights)
-        )
+        return ProbChoice(tuple((w, sub()) for w in _random_weights(cfg, rng, width)))
     if kind == "prio":
-        return Priority(_random_term(cfg, rng, depth - 1))
-    sides = (_random_term(cfg, rng, depth - 1), _random_term(cfg, rng, depth - 1))
+        return Priority(sub())
+    sides = (sub(), sub())
     return SyncPar(*sides) if kind == "sync" else SharedPar(*sides)
 
 
@@ -163,27 +169,7 @@ def fill_context(context, replacement: Term) -> Term:
     """Substitute the process for the unique hole of a context."""
     if isinstance(context, _Hole):
         return replacement
-    if isinstance(context, ExternalChoice):
-        return ExternalChoice(
-            tuple((l, fill_context(s, replacement)) for l, s in context.branches)
-        )
-    if isinstance(context, ProbChoice):
-        return ProbChoice(
-            tuple((w, fill_context(s, replacement)) for w, s in context.branches)
-        )
-    if isinstance(context, Priority):
-        return Priority(fill_context(context.body, replacement))
-    if isinstance(context, SyncPar):
-        return SyncPar(
-            fill_context(context.left, replacement),
-            fill_context(context.right, replacement),
-        )
-    if isinstance(context, SharedPar):
-        return SharedPar(
-            fill_context(context.left, replacement),
-            fill_context(context.right, replacement),
-        )
-    return context
+    return map_children(context, lambda sub: fill_context(sub, replacement))
 
 
 def random_context(cfg: GenConfig, rng: random.Random, depth: int | None = None):
@@ -286,18 +272,11 @@ def _aligned_pieces(
     """
     target = frozenset(rng.sample(cfg.labels, rng.randint(1, len(cfg.labels))))
     pool = tuple(sorted(target))
-    narrowed = GenConfig(
-        alphabet_size=len(pool),
-        max_depth=cfg.max_depth,
-        max_branching=cfg.max_branching,
-        max_weight_denominator=cfg.max_weight_denominator,
-        seed=cfg.seed,
-    )
     pieces: list[Term] = []
     for _ in range(count):
         piece = None
         for _ in range(50):
-            candidate = _random_term_with_pool(narrowed, rng, depth, pool)
+            candidate = _random_term(cfg, rng, depth, pool, _ALIGNED_SHAPE)
             if alphabet(candidate) == target:
                 piece = candidate
                 break
@@ -305,41 +284,6 @@ def _aligned_pieces(
             piece = ExternalChoice(tuple((label, Empty()) for label in pool))
         pieces.append(piece)
     return pieces
-
-
-def _random_term_with_pool(cfg, rng, depth, pool) -> Term:
-    if depth <= 0:
-        if rng.random() < 0.3:
-            return Empty()
-        return ExternalChoice(((rng.choice(pool), Empty()),))
-    kind = rng.choices(
-        ("choice", "prob", "prio", "sync", "shared", "empty"),
-        weights=(6, 3, 1, 1, 1, 1),
-    )[0]
-    if kind == "empty":
-        return Empty()
-    if kind == "choice":
-        width = rng.randint(1, min(cfg.max_branching, len(pool)))
-        labels = sorted(rng.sample(pool, width))
-        return ExternalChoice(
-            tuple(
-                (label, _random_term_with_pool(cfg, rng, depth - 1, pool))
-                for label in labels
-            )
-        )
-    if kind == "prob":
-        width = rng.randint(2, max(2, cfg.max_branching))
-        weights = _random_weights(cfg, rng, width)
-        return ProbChoice(
-            tuple((w, _random_term_with_pool(cfg, rng, depth - 1, pool)) for w in weights)
-        )
-    if kind == "prio":
-        return Priority(_random_term_with_pool(cfg, rng, depth - 1, pool))
-    sides = (
-        _random_term_with_pool(cfg, rng, depth - 1, pool),
-        _random_term_with_pool(cfg, rng, depth - 1, pool),
-    )
-    return SyncPar(*sides) if kind == "sync" else SharedPar(*sides)
 
 
 def context_distribution_pair(cfg: GenConfig, rng: random.Random) -> tuple[Term, Term]:
@@ -712,7 +656,8 @@ def check_symbolic_numeric(
     return report
 
 
-_ALL_CHECKS = {
+# The suites by name, in report order; the command line offers these names.
+CHECKS = {
     "coincidence": check_coincidence,
     "congruence": check_congruence,
     "distributivity": check_distributivity,
@@ -725,10 +670,10 @@ def run_checks(
     cfg: GenConfig, n_samples: int = 200, only: str | None = None
 ) -> dict[str, CheckReport]:
     """Run the named suite (or all of them) and return reports by name."""
-    names = [only] if only else list(_ALL_CHECKS)
+    names = [only] if only else list(CHECKS)
     out: dict[str, CheckReport] = {}
     for name in names:
-        if name not in _ALL_CHECKS:
-            raise ValueError(f"unknown check {name!r}; choose from {sorted(_ALL_CHECKS)}")
-        out[name] = _ALL_CHECKS[name](cfg, n_samples)
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
+        out[name] = CHECKS[name](cfg, n_samples)
     return out

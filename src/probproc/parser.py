@@ -30,7 +30,6 @@ from .terms import (
     SharedPar,
     SyncPar,
     Term,
-    uses_success,
 )
 
 
@@ -264,7 +263,3 @@ def parse_priority(text: str) -> PriorityOrder:
         return PriorityOrder(tuple(pairs))
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
-
-
-def is_test(term: Term) -> bool:
-    return uses_success(term)

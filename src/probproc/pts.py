@@ -235,61 +235,118 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     return problems
 
 
-def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
-    """The continuation of `state` given that `menu` was offered and `action` taken.
+# --- positions and conditioning ---------------------------------------------
+#
+# A position is either an actual state or a distribution over
+# nondeterministic states produced by conditioning a probabilistic state on
+# an observed menu.  Distributions are kept as sorted tuples so positions
+# are hashable memo keys.
 
-    For a nondeterministic state the result is the graph re-rooted at the
-    action successor.  For a probabilistic state the branches whose menu
-    matches are kept, renormalized by the menu's total weight, stepped
-    through the action, and flattened by one probabilistic level; edges that
-    land on the same state are merged by adding their weights.
+View = tuple
+
+
+def format_menu(menu: Menu) -> str:
+    return "{" + ",".join(sorted(menu)) + "}"
+
+
+def root_view(pts: Pts) -> View:
+    return ("s", pts.root)
+
+
+def _branches(pts: Pts, view: View) -> tuple[tuple[Fraction, int], ...]:
+    if view[0] == "d":
+        return tuple((weight, state) for state, weight in view[1])
+    return pts.prob_successors(view[1])
+
+
+def is_probabilistic(pts: Pts, view: View) -> bool:
+    return view[0] == "d" or pts.kind(view[1]) == "p"
+
+
+def view_menu_distribution(pts: Pts, view: View) -> dict[Menu, Fraction]:
+    """Support-only map of initially observable menus; values sum to one."""
+    if not is_probabilistic(pts, view):
+        return {pts.menu(view[1]): Fraction(1)}
+    out: dict[Menu, Fraction] = {}
+    for weight, target in _branches(pts, view):
+        menu = pts.menu(target)
+        out[menu] = out.get(menu, Fraction(0)) + weight
+    return out
+
+
+def condition_view(pts: Pts, view: View, menu: Menu, action: str) -> View:
+    """The position after the menu was observed and the action performed.
+
+    From a nondeterministic state this is the action successor.  From a
+    probabilistic position the branches whose menu matches are kept,
+    renormalized by the menu's total weight, stepped through the action, and
+    flattened by one probabilistic level; branches that land on the same
+    state are merged by adding their weights.
     """
-    pts.require_acyclic()
     menu = frozenset(menu)
     if action not in menu:
-        raise MenuNotOffered(f"action {action!r} is not in the menu {sorted(menu)}")
-
-    if pts.kinds[state] == "n":
+        raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
+    if not is_probabilistic(pts, view):
+        state = view[1]
         if pts.menu(state) != menu:
             raise MenuNotOffered(
-                f"state {state} offers {sorted(pts.menu(state))}, not {sorted(menu)}"
+                f"state {state} offers {format_menu(pts.menu(state))}, "
+                f"not {format_menu(menu)}"
             )
+        return ("s", pts.action_successor(state, action))
+    matching = [
+        (weight, target)
+        for weight, target in _branches(pts, view)
+        if pts.menu(target) == menu
+    ]
+    if not matching:
+        raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
+    total = sum(weight for weight, _ in matching)
+    acc: dict[int, Fraction] = {}
+    for weight, target in matching:
+        after = pts.action_successor(target, action)
+        if pts.kind(after) == "n":
+            acc[after] = acc.get(after, Fraction(0)) + weight / total
+        else:
+            for inner_weight, inner_target in pts.prob_successors(after):
+                acc[inner_target] = (
+                    acc.get(inner_target, Fraction(0)) + weight * inner_weight / total
+                )
+    return ("d", tuple(sorted(acc.items())))
+
+
+def view_to_pts(pts: Pts, view: View) -> Pts:
+    """Materialize a position as a graph of its own."""
+    if view[0] == "s":
         return Pts(
             alphabet=pts.alphabet,
             kinds=pts.kinds,
             action_edges=pts.action_edges,
             prob_edges=pts.prob_edges,
-            root=pts.action_successor(state, action),
+            root=view[1],
         )
-
-    matching = [
-        (weight, target)
-        for weight, target in pts.prob_successors(state)
-        if pts.menu(target) == menu
-    ]
-    if not matching:
-        raise MenuNotOffered(f"no branch of state {state} offers {sorted(menu)}")
-    total = sum(weight for weight, _ in matching)
-
     fresh = max(pts.kinds) + 1
-    new_edges: list[tuple[int, Fraction, int]] = []
-    for weight, target in matching:
-        after = pts.action_successor(target, action)
-        if pts.kinds[after] == "n":
-            new_edges.append((fresh, weight / total, after))
-        else:
-            for inner_weight, inner_target in pts.prob_successors(after):
-                new_edges.append((fresh, weight * inner_weight / total, inner_target))
-
     kinds = dict(pts.kinds)
     kinds[fresh] = "p"
     return Pts(
         alphabet=pts.alphabet,
         kinds=kinds,
         action_edges=pts.action_edges,
-        prob_edges=pts.prob_edges + _merge_prob_edges(new_edges),
+        prob_edges=pts.prob_edges
+        + tuple((fresh, weight, target) for target, weight in view[1]),
         root=fresh,
     )
+
+
+def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
+    """The continuation of `state` given that `menu` was offered and `action` taken.
+
+    For a nondeterministic state the result is the graph re-rooted at the
+    action successor.  For a probabilistic state it gets a fresh root whose
+    weighted edges are the conditioned distribution of `condition_view`.
+    """
+    pts.require_acyclic()
+    return view_to_pts(pts, condition_view(pts, ("s", state), menu, action))
 
 
 def tree_signature(pts: Pts, state: int | None = None):

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .pts import Menu, MenuNotOffered, Pts
+from .pts import (
+    Menu,
+    Pts,
+    View,
+    condition_view,
+    format_menu,
+    root_view,
+    view_menu_distribution,
+)
 
 
 class _UndefinedType:
@@ -51,10 +59,6 @@ Probability = Union[Fraction, _UndefinedType]
 
 def menu_key(menu: Menu):
     return (len(menu), tuple(sorted(menu)))
-
-
-def format_menu(menu: Menu) -> str:
-    return "{" + ",".join(sorted(menu)) + "}"
 
 
 @dataclass(frozen=True)
@@ -118,98 +122,6 @@ def parse_trace(text: str) -> ReadyTrace:
         actions.append(rest[1:arrow].strip())
         rest = rest[arrow + 2 :].strip()
     return ReadyTrace(tuple(menus), tuple(actions))
-
-
-# --- process positions -----------------------------------------------------
-#
-# A position is either an actual state or a distribution over
-# nondeterministic states produced by conditioning a probabilistic state on
-# an observed menu.  Distributions are kept as sorted tuples so positions
-# are hashable memo keys.
-
-View = tuple
-
-
-def root_view(pts: Pts) -> View:
-    return ("s", pts.root)
-
-
-def _branches(pts: Pts, view: View) -> tuple[tuple[Fraction, int], ...]:
-    if view[0] == "d":
-        return tuple((weight, state) for state, weight in view[1])
-    return pts.prob_successors(view[1])
-
-
-def is_probabilistic(pts: Pts, view: View) -> bool:
-    return view[0] == "d" or pts.kind(view[1]) == "p"
-
-
-def view_menu_distribution(pts: Pts, view: View) -> dict[Menu, Fraction]:
-    """Support-only map of initially observable menus; values sum to one."""
-    if not is_probabilistic(pts, view):
-        return {pts.menu(view[1]): Fraction(1)}
-    out: dict[Menu, Fraction] = {}
-    for weight, target in _branches(pts, view):
-        menu = pts.menu(target)
-        out[menu] = out.get(menu, Fraction(0)) + weight
-    return out
-
-
-def condition_view(pts: Pts, view: View, menu: Menu, action: str) -> View:
-    """The position after the menu was observed and the action performed."""
-    menu = frozenset(menu)
-    if action not in menu:
-        raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
-    if not is_probabilistic(pts, view):
-        state = view[1]
-        if pts.menu(state) != menu:
-            raise MenuNotOffered(
-                f"state {state} offers {format_menu(pts.menu(state))}, "
-                f"not {format_menu(menu)}"
-            )
-        return ("s", pts.action_successor(state, action))
-    matching = [
-        (weight, target)
-        for weight, target in _branches(pts, view)
-        if pts.menu(target) == menu
-    ]
-    if not matching:
-        raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
-    total = sum(weight for weight, _ in matching)
-    acc: dict[int, Fraction] = {}
-    for weight, target in matching:
-        after = pts.action_successor(target, action)
-        if pts.kind(after) == "n":
-            acc[after] = acc.get(after, Fraction(0)) + weight / total
-        else:
-            for inner_weight, inner_target in pts.prob_successors(after):
-                acc[inner_target] = (
-                    acc.get(inner_target, Fraction(0)) + weight * inner_weight / total
-                )
-    return ("d", tuple(sorted(acc.items())))
-
-
-def view_to_pts(pts: Pts, view: View) -> Pts:
-    """Materialize a position as a graph of its own."""
-    if view[0] == "s":
-        return Pts(
-            alphabet=pts.alphabet,
-            kinds=pts.kinds,
-            action_edges=pts.action_edges,
-            prob_edges=pts.prob_edges,
-            root=view[1],
-        )
-    fresh = max(pts.kinds) + 1
-    kinds = dict(pts.kinds)
-    kinds[fresh] = "p"
-    return Pts(
-        alphabet=pts.alphabet,
-        kinds=kinds,
-        action_edges=pts.action_edges,
-        prob_edges=pts.prob_edges
-        + tuple((fresh, weight, target) for target, weight in view[1]),
-        root=fresh,
-    )
 
 
 # --- probabilities ---------------------------------------------------------

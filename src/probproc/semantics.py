@@ -30,7 +30,6 @@ from itertools import combinations
 from .pts import Pts
 from .terms import (
     EMPTY_ORDER,
-    Empty,
     ExternalChoice,
     PriorityOrder,
     ProbChoice,
@@ -39,6 +38,8 @@ from .terms import (
     SyncPar,
     Term,
     alphabet,
+    children,
+    map_children,
     shared_alphabet,
 )
 
@@ -53,27 +54,13 @@ class _Shared:
 
 
 def _pin_sync_sets(term: Term):
-    if isinstance(term, (Empty,)):
-        return term
-    if isinstance(term, ExternalChoice):
-        return ExternalChoice(
-            tuple((label, _pin_sync_sets(sub)) for label, sub in term.branches)
-        )
-    if isinstance(term, ProbChoice):
-        return ProbChoice(
-            tuple((weight, _pin_sync_sets(sub)) for weight, sub in term.branches)
-        )
-    if isinstance(term, Priority):
-        return Priority(_pin_sync_sets(term.body))
-    if isinstance(term, SyncPar):
-        return SyncPar(_pin_sync_sets(term.left), _pin_sync_sets(term.right))
     if isinstance(term, SharedPar):
         return _Shared(
             _pin_sync_sets(term.left),
             _pin_sync_sets(term.right),
             shared_alphabet(term.left, term.right),
         )
-    raise TypeError(f"not a term: {term!r}")
+    return map_children(term, _pin_sync_sets)
 
 
 class _Compiler:
@@ -210,33 +197,21 @@ def composition_warnings(term: Term) -> list[str]:
             return components(node.left) + components(node.right)
         return [node]
 
-    def walk(node: Term, under_shared: bool) -> None:
-        if isinstance(node, SharedPar):
-            if not under_shared:
-                parts = components(node)
-                for a, b, c in combinations(range(len(parts)), 3):
-                    ab = shared_alphabet(parts[a], parts[b])
-                    bc = shared_alphabet(parts[b], parts[c])
-                    ac = shared_alphabet(parts[a], parts[c])
-                    if ab and bc and ac:
-                        warnings.append(
-                            "components %d, %d and %d of a |[]| chain share actions "
-                            "pairwise (%s); the chain is not associative"
-                            % (a, b, c, sorted(ab | bc | ac))
-                        )
-            walk(node.left, True)
-            walk(node.right, True)
-        elif isinstance(node, ExternalChoice):
-            for _, sub in node.branches:
-                walk(sub, False)
-        elif isinstance(node, ProbChoice):
-            for _, sub in node.branches:
-                walk(sub, False)
-        elif isinstance(node, Priority):
-            walk(node.body, False)
-        elif isinstance(node, SyncPar):
-            walk(node.left, False)
-            walk(node.right, False)
-
-    walk(term, False)
+    stack = [(term, False)]
+    while stack:
+        node, under_shared = stack.pop()
+        if isinstance(node, SharedPar) and not under_shared:
+            labels = [alphabet(part) for part in components(node)]
+            for a, b, c in combinations(range(len(labels)), 3):
+                ab = labels[a] & labels[b]
+                bc = labels[b] & labels[c]
+                ac = labels[a] & labels[c]
+                if ab and bc and ac:
+                    warnings.append(
+                        "components %d, %d and %d of a |[]| chain share actions "
+                        "pairwise (%s); the chain is not associative"
+                        % (a, b, c, sorted(ab | bc | ac))
+                    )
+        inside = isinstance(node, SharedPar)
+        stack.extend((child, inside) for child in reversed(children(node)))
     return warnings

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Iterator, Union
 
 from .pts import OMEGA
 
@@ -85,27 +85,55 @@ def success() -> ExternalChoice:
     return ExternalChoice(((OMEGA, Empty()),))
 
 
+def children(term: Term) -> list[Term]:
+    """The immediate subterms, in syntactic order, as a fresh list."""
+    if isinstance(term, (ExternalChoice, ProbChoice)):
+        return [sub for _, sub in term.branches]
+    if isinstance(term, Priority):
+        return [term.body]
+    if isinstance(term, (SyncPar, SharedPar)):
+        return [term.left, term.right]
+    if isinstance(term, Empty):
+        return []
+    raise TypeError(f"not a term: {term!r}")
+
+
+def map_children(term: Term, fn: Callable[[Term], object]) -> Term:
+    """The same constructor rebuilt with `fn` applied to each immediate subterm."""
+    if isinstance(term, ExternalChoice):
+        return ExternalChoice(tuple((label, fn(sub)) for label, sub in term.branches))
+    if isinstance(term, ProbChoice):
+        return ProbChoice(tuple((weight, fn(sub)) for weight, sub in term.branches))
+    if isinstance(term, Priority):
+        return Priority(fn(term.body))
+    if isinstance(term, (SyncPar, SharedPar)):
+        return type(term)(fn(term.left), fn(term.right))
+    if isinstance(term, Empty):
+        return term
+    raise TypeError(f"not a term: {term!r}")
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """Every subterm occurrence in pre-order, the term itself first.
+
+    Iterative, so arbitrarily deep terms never exhaust the call stack.
+    """
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def alphabet(term: Term) -> frozenset[str]:
     """Action labels occurring syntactically in the term; excludes "w"."""
-    out: set[str] = set()
-
-    def walk(node: Term) -> None:
-        if isinstance(node, ExternalChoice):
-            for label, sub in node.branches:
-                if label != OMEGA:
-                    out.add(label)
-                walk(sub)
-        elif isinstance(node, ProbChoice):
-            for _, sub in node.branches:
-                walk(sub)
-        elif isinstance(node, Priority):
-            walk(node.body)
-        elif isinstance(node, (SyncPar, SharedPar)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(term)
-    return frozenset(out)
+    return frozenset(
+        label
+        for node in subterms(term)
+        if isinstance(node, ExternalChoice)
+        for label, _ in node.branches
+        if label != OMEGA
+    )
 
 
 def shared_alphabet(left: Term, right: Term) -> frozenset[str]:
@@ -114,27 +142,14 @@ def shared_alphabet(left: Term, right: Term) -> frozenset[str]:
 
 
 def uses_success(term: Term) -> bool:
-    if isinstance(term, ExternalChoice):
-        return any(label == OMEGA or uses_success(sub) for label, sub in term.branches)
-    if isinstance(term, ProbChoice):
-        return any(uses_success(sub) for _, sub in term.branches)
-    if isinstance(term, Priority):
-        return uses_success(term.body)
-    if isinstance(term, (SyncPar, SharedPar)):
-        return uses_success(term.left) or uses_success(term.right)
-    return False
+    return any(
+        isinstance(node, ExternalChoice) and any(label == OMEGA for label, _ in node.branches)
+        for node in subterms(term)
+    )
 
 
 def has_prob_choice(term: Term) -> bool:
-    if isinstance(term, ProbChoice):
-        return True
-    if isinstance(term, ExternalChoice):
-        return any(has_prob_choice(sub) for _, sub in term.branches)
-    if isinstance(term, Priority):
-        return has_prob_choice(term.body)
-    if isinstance(term, (SyncPar, SharedPar)):
-        return has_prob_choice(term.left) or has_prob_choice(term.right)
-    return False
+    return any(isinstance(node, ProbChoice) for node in subterms(term))
 
 
 class PriorityOrder:

@@ -23,17 +23,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .pts import OMEGA, Pts
-from .ratfunc import RationalFn
-from .readytrace import (
+from .pts import (
+    OMEGA,
+    Pts,
     View,
     condition_view,
-    menu_key,
     root_view,
     view_menu_distribution,
     view_to_pts,
-    views_differ,
 )
+from .ratfunc import RationalFn
+from .readytrace import menu_key, views_differ
 from .semantics import compile_term
 from .terms import ExternalChoice, Term, success
 

@@ -106,6 +106,16 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_internal_error_exits_2_with_one_line(capsys):
+    # Exit 1 would claim the two operands were distinguished.
+    chain = "a->" * 600 + "0"
+    code, out, err = run_cli(capsys, "equiv", chain, chain)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_oracle_runs_a_named_check(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--seed", "3", "--samples", "5", "--check", "axioms"

@@ -1,5 +1,6 @@
 """Generator determinism and the randomized property suites at small scale."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from probproc.harness import (
+    CheckReport,
     GenConfig,
     check_coincidence,
     check_congruence,
@@ -182,3 +184,42 @@ def test_run_checks_selects_by_name():
     assert list(out) == ["axioms"]
     with pytest.raises(ValueError):
         run_checks(cfg, n_samples=5, only="nonsense")
+
+
+def _sha256(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_seeded_reports_and_renders_are_pinned(monkeypatch):
+    """Seeded streams replay byte for byte across refactors.
+
+    The digests cover every sample's detail (not only failures) of three
+    suites, and the first renders of the two public generators.  Any change
+    to the random draws, the generated terms or the verdicts moves them.
+    """
+    details: list[str] = []
+    record = CheckReport.record
+
+    def logging_record(self, ok, detail):
+        details.append(json.dumps([self.name, ok, detail], sort_keys=True))
+        record(self, ok, detail)
+
+    monkeypatch.setattr(CheckReport, "record", logging_record)
+    cfg = GenConfig(seed=2009)
+    reports = []
+    for name in ("congruence", "distributivity", "axioms"):
+        for report in run_checks(cfg, n_samples=20, only=name).values():
+            fields = report.to_dict()
+            del fields["elapsed_seconds"]
+            reports.append(json.dumps(fields, sort_keys=True))
+    assert _sha256(reports + details) == (
+        "b0e5f80fd4fb4c911e3a4fc408cfcd9fcedf6f8e0fcec340d08b9e442d552841"
+    )
+
+    rng = random.Random(2009)
+    renders = [render(random_term(cfg, rng)) for _ in range(50)]
+    for _ in range(50):
+        renders.extend(render(term) for term in equivalent_pair(cfg, rng))
+    assert _sha256(renders) == (
+        "11754293ebed22667a9d1d6d4f217655b17277b69da3fb7f05a66f58031f5c63"
+    )

@@ -9,6 +9,7 @@ from probproc.fixtures import COIN_MACHINE_EARLY, GAME_GUESSER, GAME_TOSSER
 from probproc.harness import GenConfig, random_term
 from probproc.parser import ParseError, parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA
+from probproc.semantics import compile_term
 from probproc.terms import (
     Empty,
     ExternalChoice,
@@ -17,10 +18,13 @@ from probproc.terms import (
     Priority,
     SyncPar,
     alphabet,
+    has_prob_choice,
     prefix,
     render,
     shared_alphabet,
+    subterms,
     success,
+    uses_success,
 )
 
 F = Fraction
@@ -111,6 +115,33 @@ def test_alphabets():
     assert alphabet(parse_term("a->p{1/2:b, 1/2:c}")) == frozenset({"a", "b", "c"})
     assert alphabet(parse_test("a->w")) == frozenset({"a"})  # success excluded
     assert OMEGA not in alphabet(parse_test("w"))
+
+
+def test_subterms_walks_in_pre_order():
+    term = parse_term("p{1/2:a->b, 1/2:c} || prio(d)")
+    assert [render(sub) for sub in subterms(term)] == [
+        "p{1/2:a->b, 1/2:c} || prio(d)",
+        "p{1/2:a->b, 1/2:c}",
+        "a->b",
+        "b",
+        "0",
+        "c",
+        "0",
+        "prio(d)",
+        "d",
+        "0",
+    ]
+
+
+def test_traversals_survive_deep_terms():
+    term = Empty()
+    for _ in range(10_000):
+        term = prefix("a", term)
+    assert alphabet(term) == frozenset({"a"})
+    assert uses_success(term) is False
+    assert has_prob_choice(term) is False
+    with pytest.raises(TypeError, match="not a term"):
+        compile_term(object())
 
 
 def test_shared_alphabet_of_game_players():
