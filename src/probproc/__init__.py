@@ -8,7 +8,7 @@ observation probabilities.  The two notions provably coincide; randomized
 suites machine-check that, along with congruence and distributivity laws.
 """
 
-from .parser import ParseError, parse_priority, parse_term, parse_test, parse_any
+from .parser import ParseError, parse_priority, parse_term, parse_test
 from .pts import (
     CyclicGraphError,
     MenuNotOffered,

@@ -243,11 +243,6 @@ def parse_test(text: str) -> Term:
     return term
 
 
-def parse_any(text: str) -> Term:
-    """Parse either a process or a test (used by the command line)."""
-    return parse_test(text)
-
-
 def parse_priority(text: str) -> PriorityOrder:
     """Read a priority order from lines of the form `a > b`."""
     pairs: list[tuple[str, str]] = []

@@ -404,8 +404,9 @@ def to_json(pts: Pts) -> str:
 
 
 def from_json(text: str) -> Pts:
+    """Load a graph written by to_json; ValueError lists what validate reports."""
     doc = json.loads(text)
-    return Pts.build(
+    pts = Pts.build(
         alphabet=doc["alphabet"],
         kinds={entry["id"]: entry["kind"] for entry in doc["states"]},
         action_edges=[
@@ -417,17 +418,25 @@ def from_json(text: str) -> Pts:
         ],
         root=doc["root"],
     )
+    problems = validate(pts, allow_success=True)
+    if problems:
+        raise ValueError("invalid graph: " + "; ".join(problems))
+    return pts
+
+
+def _dot_string(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(pts: Pts, title: str = "pts") -> str:
     """GraphViz rendering: solid labeled action edges, dashed weighted edges."""
-    lines = [f'digraph "{title}" {{', "  rankdir=TB;"]
+    lines = [f"digraph {_dot_string(title)} {{", "  rankdir=TB;"]
     for state, kind in sorted(pts.kinds.items()):
         shape = "circle" if kind == "n" else "point"
         marker = ', penwidth=2' if state == pts.root else ""
         lines.append(f'  s{state} [shape={shape}, label=""{marker}];')
     for src, label, dst in pts.action_edges:
-        lines.append(f'  s{src} -> s{dst} [label="{label}"];')
+        lines.append(f"  s{src} -> s{dst} [label={_dot_string(label)}];")
     for src, weight, dst in pts.prob_edges:
         lines.append(
             f'  s{src} -> s{dst} [style=dashed, label="{weight.numerator}/{weight.denominator}"];'

@@ -1,9 +1,10 @@
 """Exact arithmetic for rational functions whose variables are action names.
 
-A polynomial is a dict mapping monomials to Fraction coefficients; a monomial
-is a tuple of (name, exponent) pairs, sorted by name, with strictly positive
-exponents.  The empty tuple is the constant monomial.  Zero coefficients are
-never stored, so plain dict equality is polynomial identity.
+A polynomial is a dict mapping monomials to positive int coefficients; a
+monomial is a tuple of (name, exponent) pairs, sorted by name, with strictly
+positive exponents.  The empty tuple is the constant monomial.  Nothing here
+subtracts, so sums never cancel and no zero coefficient is ever stored: plain
+dict equality is polynomial identity.
 
 A RationalFn is a numerator/denominator pair of such polynomials.  Every
 function built by this package takes only positive variable values, which
@@ -13,40 +14,38 @@ makes cross-multiplication a sound and complete equality test:
 
 No polynomial GCD is computed.  Results stay unreduced except for cheap
 normalizations (zero numerator, shared monomial factor, proportional
-numerator/denominator, integer scaling) that keep printed output close to
-the hand-reduced form without affecting correctness.
+numerator/denominator, dividing out the gcd of all coefficients) that keep
+printed output close to the hand-reduced form without affecting correctness.
+After normalization the coefficients of numerator and denominator together
+have gcd 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int]
 
 _ONE_MONO: Monomial = ()
 
 
-def _pconst(value: Fraction) -> Poly:
+def _pconst(value: int) -> Poly:
     if value == 0:
         return {}
     return {_ONE_MONO: value}
 
 
 def _pvar(name: str) -> Poly:
-    return {((name, 1),): Fraction(1)}
+    return {((name, 1),): 1}
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for mono, coeff in b.items():
-        acc = out.get(mono, Fraction(0)) + coeff
-        if acc:
-            out[mono] = acc
-        else:
-            out.pop(mono, None)
+        out[mono] = out.get(mono, 0) + coeff
     return out
 
 
@@ -62,18 +61,8 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mono = _mono_mul(m1, m2)
-            acc = out.get(mono, Fraction(0)) + c1 * c2
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + c1 * c2
     return out
-
-
-def _pscale(a: Poly, factor: Fraction) -> Poly:
-    if factor == 0:
-        return {}
-    return {mono: coeff * factor for mono, coeff in a.items()}
 
 
 def _peval(a: Poly, values: Mapping[str, Fraction]) -> Fraction:
@@ -145,7 +134,7 @@ class RationalFn:
     @staticmethod
     def var(name: str) -> RationalFn:
         """The function of a single action-name variable."""
-        return RationalFn(_pvar(name), _pconst(Fraction(1)))
+        return RationalFn(_pvar(name), _pconst(1))
 
     @staticmethod
     def scalar(value) -> RationalFn:
@@ -153,15 +142,15 @@ class RationalFn:
         value = Fraction(value)
         if value < 0:
             raise ValueError(f"scalar must be non-negative, got {value}")
-        return RationalFn(_pconst(value), _pconst(Fraction(1)))
+        return RationalFn(_pconst(value.numerator), _pconst(value.denominator))
 
     @staticmethod
     def zero() -> RationalFn:
-        return RationalFn({}, _pconst(Fraction(1)))
+        return RationalFn({}, _pconst(1))
 
     @staticmethod
     def one() -> RationalFn:
-        return RationalFn(_pconst(Fraction(1)), _pconst(Fraction(1)))
+        return RationalFn(_pconst(1), _pconst(1))
 
     def __add__(self, other: RationalFn) -> RationalFn:
         if not self.num:
@@ -197,8 +186,7 @@ class RationalFn:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant function")
-        num = self.num.get(_ONE_MONO, Fraction(0))
-        return num / self.den[_ONE_MONO]
+        return Fraction(self.num.get(_ONE_MONO, 0), self.den[_ONE_MONO])
 
     def variables(self) -> set[str]:
         return _pvars(self.num) | _pvars(self.den)
@@ -228,25 +216,22 @@ class RationalFn:
 
 def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not num:
-        return {}, _pconst(Fraction(1))
+        return {}, _pconst(1)
     shared = _common_monomial((num, den))
     if shared != _ONE_MONO:
         num = {_mono_divide(m, shared): c for m, c in num.items()}
         den = {_mono_divide(m, shared): c for m, c in den.items()}
-    # Proportional pair: collapse c*q / q to the constant c.
+    # Proportional pair: collapse (n*q) / (d*q) to the constant n / d.
     if num.keys() == den.keys():
-        ratios = {num[m] / den[m] for m in num}
-        if len(ratios) == 1:
-            num = _pconst(ratios.pop())
-            den = _pconst(Fraction(1))
-    # Scale so all coefficients are integers with overall gcd 1.
-    coeffs = list(num.values()) + list(den.values())
-    scale = Fraction(
-        lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs))
-    )
-    if scale != 1:
-        num = _pscale(num, scale)
-        den = _pscale(den, scale)
+        first = next(iter(num))
+        n, d = num[first], den[first]
+        if all(num[m] * d == den[m] * n for m in num):
+            num, den = _pconst(n), _pconst(d)
+    # Divide out the gcd of all coefficients.
+    divisor = gcd(*num.values(), *den.values())
+    if divisor != 1:
+        num = {m: c // divisor for m, c in num.items()}
+        den = {m: c // divisor for m, c in den.items()}
     return num, den
 
 
@@ -276,7 +261,7 @@ def format_ratfunc(f: RationalFn) -> str:
     """Render as `num / den` with expanded polynomials in graded-lex order."""
     if f.is_constant():
         return str(f.constant_value())
-    if f.den == _pconst(Fraction(1)):
+    if f.den == _pconst(1):
         return _format_poly(f.num)
 
     def wrap(poly: Poly) -> str:
@@ -338,13 +323,13 @@ def parse_ratfunc(text: str) -> RationalFn:
 
     def parse_factor() -> Poly:
         if peek() == "int":
-            return _pconst(Fraction(int(take("int"))))
+            return _pconst(int(take("int")))
         name = take("name")
         exp = 1
         if peek() == "^":
             take("^")
             exp = int(take("int"))
-        return {((name, exp),): Fraction(1)}
+        return {((name, exp),): 1}
 
     def parse_term() -> Poly:
         poly = parse_factor()
@@ -369,7 +354,7 @@ def parse_ratfunc(text: str) -> RationalFn:
         return parse_poly()
 
     num = parse_operand()
-    den = _pconst(Fraction(1))
+    den = _pconst(1)
     if peek() == "/":
         take("/")
         den = parse_operand()

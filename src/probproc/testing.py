@@ -315,11 +315,13 @@ def _synthesize(
 
 def term_action_depth(term: Term) -> int:
     """Longest chain of non-success actions in a test term."""
-    if isinstance(term, ExternalChoice):
-        best = 0
-        for label, sub in term.branches:
-            if label == OMEGA:
-                continue
-            best = max(best, 1 + term_action_depth(sub))
-        return best
-    return 0
+    best = 0
+    stack = [(term, 0)]
+    while stack:
+        node, depth = stack.pop()
+        best = max(best, depth)
+        if isinstance(node, ExternalChoice):
+            stack.extend(
+                (sub, depth + 1) for label, sub in node.branches if label != OMEGA
+            )
+    return best

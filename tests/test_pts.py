@@ -1,5 +1,6 @@
 """Transition-graph structure: validation, menus, conditioning, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -234,11 +235,35 @@ def test_json_round_trip():
     assert validate(again) == []
 
 
+def test_json_rejects_dangling_edge():
+    doc = json.loads(to_json(compile_term(parse_term("a->b->0"))))
+    doc["action_edges"][0]["to"] = 7
+    with pytest.raises(ValueError, match="uses unknown state"):
+        from_json(json.dumps(doc))
+
+
+def test_json_round_trips_compiled_test():
+    from probproc.parser import parse_test
+
+    text = to_json(compile_term(parse_test("a->w")))
+    assert to_json(from_json(text)) == text
+
+
 def test_dot_output_styles_probabilistic_edges_dashed():
     dot = to_dot(coin_machine())
     assert dot.startswith("digraph")
     assert "style=dashed" in dot
     assert 'label="h"' in dot and 'label="1/2"' in dot
+    quoted = Pts.build(
+        alphabet={'a"b', "c\\"},
+        kinds={0: "n", 1: "n", 2: "n"},
+        action_edges=[(0, 'a"b', 1), (0, "c\\", 2)],
+        prob_edges=[],
+        root=0,
+    )
+    dot = to_dot(quoted, title='x"y')
+    assert dot.startswith('digraph "x\\"y" {')
+    assert 'label="a\\"b"' in dot and 'label="c\\\\"' in dot
 
 
 def test_tree_signature_ignores_state_names_only():

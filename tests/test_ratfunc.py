@@ -186,3 +186,40 @@ def test_equality_agrees_with_exact_evaluation(f, g, seed):
 def test_round_trip_random(f):
     text = format_ratfunc(f)
     assert structurally_equal(parse_ratfunc(text), f)
+
+
+# --- independent oracle -------------------------------------------------------
+
+
+def test_equality_and_normal_form_agree_with_sympy():
+    import random
+    from math import gcd
+
+    sympy = pytest.importorskip("sympy")
+    from probproc.harness import GenConfig, random_ratfunc
+
+    cfg = GenConfig(alphabet_size=4)
+    symbols = {name: sympy.Symbol(name, positive=True) for name in cfg.labels}
+
+    def to_sympy(f: RationalFn):
+        # A one-term denominator prints bare ("x / 2*a"), so bracket each side.
+        sides = str(f).replace("^", "**").split(" / ")
+        text = "/".join(f"({side})" for side in sides)
+        return sympy.parse_expr(text, local_dict=symbols)
+
+    rng = random.Random(2009)
+    for index in range(300):
+        f = random_ratfunc(cfg, rng)
+        if index % 2 == 0:
+            g = random_ratfunc(cfg, rng)
+        else:
+            q = random_ratfunc(cfg, rng, depth=2)
+            g = (f * q) / q if not q.is_zero() else f
+        F, G = to_sympy(f), to_sympy(g)
+        assert (f == g) == (sympy.cancel(F - G) == 0), (f, g)
+        assert sympy.cancel(to_sympy(f + g) - (F + G)) == 0, (f, g)
+        assert sympy.cancel(to_sympy(f * g) - F * G) == 0, (f, g)
+        for h in (f, g, f + g, f * g):
+            coeffs = list(h.num.values()) + list(h.den.values())
+            assert all(type(c) is int for c in coeffs), h
+            assert gcd(*coeffs) == 1, h

@@ -18,7 +18,7 @@ from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import compile_term
-from probproc.terms import has_prob_choice, render
+from probproc.terms import has_prob_choice, prefix, render, success
 from probproc.testing import (
     count_tests,
     distinguishing_test,
@@ -309,3 +309,10 @@ def test_synthesis_agrees_with_ready_trace_verdicts_on_random_pairs():
             assert apply_test(left, compiled) != apply_test(right, compiled)
             assert term_action_depth(witness) >= 1
     assert seen_distinguished > 20
+
+
+def test_term_action_depth_survives_deep_chains():
+    term = success()
+    for _ in range(10_000):
+        term = prefix("a", term)
+    assert term_action_depth(term) == 10_000
