@@ -418,14 +418,13 @@ def check_coincidence(
                 detail["witness"] = render(witness)
                 report.record(False, detail)
                 continue
-            needed = term_action_depth(witness)
-            found = None
-            for depth in range(1, needed + 1):
-                test_verdict = bounded_testing_equivalent(left, right, depth=depth)
-                if not test_verdict.equivalent:
-                    found = test_verdict
-                    break
-            if found is None:
+            # Enumeration yields tests by exact depth, and the universes of a
+            # smaller depth are a prefix of these, so this finds the same first
+            # distinguishing test as searching each depth up to the witness's.
+            found = bounded_testing_equivalent(
+                left, right, depth=term_action_depth(witness)
+            )
+            if found.equivalent:
                 detail["error"] = "enumeration found no witness up to the synthesized depth"
                 detail["witness"] = render(witness)
                 report.record(False, detail)

@@ -404,21 +404,32 @@ def to_json(pts: Pts) -> str:
 
 
 def from_json(text: str) -> Pts:
-    """Load a graph written by to_json; ValueError lists what validate reports."""
+    """Load a graph written by to_json.
+
+    Every malformed document raises ValueError with one line: what is
+    missing or of the wrong type, or what validate reports.
+    """
     doc = json.loads(text)
-    pts = Pts.build(
-        alphabet=doc["alphabet"],
-        kinds={entry["id"]: entry["kind"] for entry in doc["states"]},
-        action_edges=[
-            (edge["from"], edge["label"], edge["to"]) for edge in doc["action_edges"]
-        ],
-        prob_edges=[
-            (edge["from"], Fraction(edge["weight"]), edge["to"])
-            for edge in doc["prob_edges"]
-        ],
-        root=doc["root"],
-    )
-    problems = validate(pts, allow_success=True)
+    if not isinstance(doc, dict):
+        raise ValueError(f"invalid graph: expected a JSON object, got {type(doc).__name__}")
+    try:
+        pts = Pts.build(
+            alphabet=doc["alphabet"],
+            kinds={entry["id"]: entry["kind"] for entry in doc["states"]},
+            action_edges=[
+                (edge["from"], edge["label"], edge["to"]) for edge in doc["action_edges"]
+            ],
+            prob_edges=[
+                (edge["from"], Fraction(edge["weight"]), edge["to"])
+                for edge in doc["prob_edges"]
+            ],
+            root=doc["root"],
+        )
+        problems = validate(pts, allow_success=True)
+    except KeyError as exc:
+        raise ValueError(f"invalid graph: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"invalid graph: malformed entry ({exc})") from None
     if problems:
         raise ValueError("invalid graph: " + "; ".join(problems))
     return pts

@@ -37,6 +37,8 @@ from .terms import (
     SharedPar,
     SyncPar,
     Term,
+    _store_hash,
+    _stored_hash,
     alphabet,
     children,
     map_children,
@@ -51,6 +53,12 @@ class _Shared:
     left: object
     right: object
     sync: frozenset[str]
+
+    __slots__ = ("left", "right", "sync", "_hash")
+    __hash__ = _stored_hash
+
+    def __post_init__(self):
+        _store_hash(self, self.left, self.right, self.sync)
 
 
 def _pin_sync_sets(term: Term):

@@ -12,7 +12,9 @@ Constructors:
 A test is a term that may additionally use the reserved success label "w"
 as a choice branch (its continuation is always Empty).  Ordinary process
 terms must not mention "w".  Structural equality and hashing follow the
-dataclass fields, so syntactically equal subterms are interchangeable.
+dataclass fields, so syntactically equal subterms are interchangeable.  Each
+composite term stores its hash in a slot when it is built, from the hashes
+its subterms stored, so hashing takes constant time at any depth.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from .pts import OMEGA
 Term = Union["Empty", "ExternalChoice", "ProbChoice", "Priority", "SyncPar", "SharedPar"]
 
 
+def _store_hash(term, *fields) -> None:
+    """Record the hash the dataclass would compute from these fields."""
+    object.__setattr__(term, "_hash", hash(fields))
+
+
+def _stored_hash(term) -> int:
+    return term._hash
+
+
 @dataclass(frozen=True)
 class Empty:
     pass
@@ -35,17 +46,24 @@ class Empty:
 class ExternalChoice:
     branches: tuple[tuple[str, Term], ...]
 
+    __slots__ = ("branches", "_hash")
+    __hash__ = _stored_hash
+
     def __post_init__(self):
         labels = [label for label, _ in self.branches]
         if not labels:
             raise ValueError("external choice needs at least one branch")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate branch labels in {labels}")
+        _store_hash(self, self.branches)
 
 
 @dataclass(frozen=True)
 class ProbChoice:
     branches: tuple[tuple[Fraction, Term], ...]
+
+    __slots__ = ("branches", "_hash")
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         if not self.branches:
@@ -56,11 +74,18 @@ class ProbChoice:
         total = sum(weight for weight, _ in self.branches)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
+        _store_hash(self, self.branches)
 
 
 @dataclass(frozen=True)
 class Priority:
     body: Term
+
+    __slots__ = ("body", "_hash")
+    __hash__ = _stored_hash
+
+    def __post_init__(self):
+        _store_hash(self, self.body)
 
 
 @dataclass(frozen=True)
@@ -68,11 +93,23 @@ class SyncPar:
     left: Term
     right: Term
 
+    __slots__ = ("left", "right", "_hash")
+    __hash__ = _stored_hash
+
+    def __post_init__(self):
+        _store_hash(self, self.left, self.right)
+
 
 @dataclass(frozen=True)
 class SharedPar:
     left: Term
     right: Term
+
+    __slots__ = ("left", "right", "_hash")
+    __hash__ = _stored_hash
+
+    def __post_init__(self):
+        _store_hash(self, self.left, self.right)
 
 
 def prefix(label: str, body: Term | None = None) -> ExternalChoice:

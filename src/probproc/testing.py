@@ -34,50 +34,115 @@ from .pts import (
 )
 from .ratfunc import RationalFn
 from .readytrace import menu_key, views_differ
-from .semantics import compile_term
-from .terms import ExternalChoice, Term, success
+from .semantics import _Compiler
+from .terms import EMPTY_ORDER, ExternalChoice, Term, success
+
+
+_ZERO = RationalFn.zero()
+_ONE = RationalFn.one()
+
+
+class _Outcomes:
+    """Outcomes of one process against many tests, sharing one memo.
+
+    A test is stepped by `steps`, whose `prob_steps(node)` lists weighted
+    successors and `action_steps(node)` maps labels to successors: a
+    `semantics._Compiler` steps test terms, `_GraphSteps` a compiled test.
+    Terms are stepped as written, so they must not use |[]|, whose sync sets
+    only `compile_term` pins; enumerated and synthesized tests never do.
+
+    Running synchronizes the process state s with the test node t.  The
+    cases are tried in this order: t offers success; s is probabilistic;
+    t is probabilistic; otherwise every common label a is taken with weight
+    a / sum(common), in sorted order.  Each pair is computed once; pairs
+    with the top-level test node are not kept, since no other test reaches
+    that node.
+    """
+
+    def __init__(self, process: Pts, steps):
+        self.process = process
+        self.steps = steps
+        self._memo: dict[tuple[int, object], RationalFn] = {}
+        self._scalars: dict[Fraction, RationalFn] = {}
+        self._shares: dict[tuple[str, ...], tuple[RationalFn, ...]] = {}
+        self._top = None
+
+    def of(self, test) -> RationalFn:
+        """The outcome of running the test from the process root."""
+        self._top = test
+        return self._at(self.process.root, test)
+
+    def _scalar(self, weight: Fraction) -> RationalFn:
+        out = self._scalars.get(weight)
+        if out is None:
+            out = self._scalars[weight] = RationalFn.scalar(weight)
+        return out
+
+    def _share(self, labels: tuple[str, ...]) -> tuple[RationalFn, ...]:
+        """var(a) / sum(labels) for each label a, built once per label set."""
+        out = self._shares.get(labels)
+        if out is None:
+            offered = _ZERO
+            for label in labels:
+                offered = offered + RationalFn.var(label)
+            out = self._shares[labels] = tuple(
+                RationalFn.var(label) / offered for label in labels
+            )
+        return out
+
+    def _at(self, s: int, t) -> RationalFn:
+        key = (s, t)
+        keep = t is not self._top
+        if keep:
+            out = self._memo.get(key)
+            if out is not None:
+                return out
+        process, steps = self.process, self.steps
+        weighted = steps.prob_steps(t)
+        actions = {} if weighted else steps.action_steps(t)
+        if OMEGA in actions:
+            return _ONE
+        out = _ZERO
+        if process.kind(s) == "p":
+            for weight, target in process.prob_successors(s):
+                out = out + self._scalar(weight) * self._at(target, t)
+        elif weighted:
+            for weight, target in weighted:
+                out = out + self._scalar(weight) * self._at(s, target)
+        else:
+            common = tuple(sorted(process.menu(s) & actions.keys()))
+            for label, share in zip(common, self._share(common)):
+                out = out + share * self._at(
+                    process.action_successor(s, label), actions[label]
+                )
+        if keep:
+            self._memo[key] = out
+        return out
+
+
+class _GraphSteps:
+    """Steps through a compiled test graph the way `_Compiler` steps terms."""
+
+    def __init__(self, test: Pts):
+        self.test = test
+
+    def prob_steps(self, state: int) -> tuple[tuple[Fraction, int], ...]:
+        if self.test.kind(state) != "p":
+            return ()
+        return self.test.prob_successors(state)
+
+    def action_steps(self, state: int) -> dict[str, int]:
+        test = self.test
+        if test.kind(state) != "n":
+            return {}
+        return {label: test.action_successor(state, label) for label in test.menu(state)}
 
 
 def apply_test(process: Pts, test: Pts) -> RationalFn:
     """The exact symbolic outcome of running the test against the process."""
     process.require_acyclic()
     test.require_acyclic()
-    memo: dict[tuple[int, int], RationalFn] = {}
-    one = RationalFn.one()
-    zero = RationalFn.zero()
-
-    def run(s: int, t: int) -> RationalFn:
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        if test.kind(t) == "n" and OMEGA in test.menu(t):
-            out = one
-        elif process.kind(s) == "p":
-            out = zero
-            for weight, target in process.prob_successors(s):
-                out = out + RationalFn.scalar(weight) * run(target, t)
-        elif test.kind(t) == "p":
-            out = zero
-            for weight, target in test.prob_successors(t):
-                out = out + RationalFn.scalar(weight) * run(s, target)
-        else:
-            common = sorted((process.menu(s) & test.menu(t)) - {OMEGA})
-            if not common:
-                out = zero
-            else:
-                offered = RationalFn.zero()
-                for label in common:
-                    offered = offered + RationalFn.var(label)
-                out = zero
-                for label in common:
-                    out = out + (RationalFn.var(label) / offered) * run(
-                        process.action_successor(s, label),
-                        test.action_successor(t, label),
-                    )
-        memo[key] = out
-        return out
-
-    return run(process.root, test.root)
+    return _Outcomes(process, _GraphSteps(test)).of(test.root)
 
 
 # --- canonical test enumeration ---------------------------------------------
@@ -228,21 +293,18 @@ def bounded_testing_equivalent(left: Pts, right: Pts, depth: int | None = None) 
     if depth is None:
         depth = max(left.action_depth, right.action_depth) + 1
     universes = relevant_universes(left, right, depth)
+    steps = _Compiler(EMPTY_ORDER)
+    left_outcomes = _Outcomes(left, steps)
+    right_outcomes = _Outcomes(right, steps)
     for test in _iter_tests(universes, depth):
-        compiled = compile_term(test)
-        out_left = apply_test(left, compiled)
-        out_right = apply_test(right, compiled)
+        out_left = left_outcomes.of(test)
+        out_right = right_outcomes.of(test)
         if out_left != out_right:
             return TestVerdict(False, depth, test, out_left, out_right)
     return TestVerdict(True, depth)
 
 
 # --- witness synthesis -------------------------------------------------------
-
-
-def _distinguishes(left: Pts, right: Pts, candidate: Term) -> bool:
-    compiled = compile_term(candidate)
-    return apply_test(left, compiled) != apply_test(right, compiled)
 
 
 def distinguishing_test(left: Pts, right: Pts) -> Term | None:
@@ -272,8 +334,12 @@ def _synthesize(
 ) -> Term:
     ldist = view_menu_distribution(left, lview)
     rdist = view_menu_distribution(right, rview)
-    left_here = view_to_pts(left, lview)
-    right_here = view_to_pts(right, rview)
+    steps = _Compiler(EMPTY_ORDER)
+    left_here = _Outcomes(view_to_pts(left, lview), steps)
+    right_here = _Outcomes(view_to_pts(right, rview), steps)
+
+    def distinguishes(candidate: Term) -> bool:
+        return left_here.of(candidate) != right_here.of(candidate)
 
     if ldist != rdist:
         differing = sorted(
@@ -289,7 +355,7 @@ def _synthesize(
             if not outside:
                 continue
             candidate = ExternalChoice(tuple((b, success()) for b in outside))
-            if _distinguishes(left_here, right_here, candidate):
+            if distinguishes(candidate):
                 return candidate
         raise AssertionError("differing menu distributions admit no probe test")
 
@@ -308,7 +374,7 @@ def _synthesize(
                     candidate = ExternalChoice(
                         tuple(sorted(branches, key=lambda br: br[0]))
                     )
-                    if _distinguishes(left_here, right_here, candidate):
+                    if distinguishes(candidate):
                         return candidate
     raise AssertionError("inequivalent positions admit no distinguishing test")
 

@@ -242,6 +242,26 @@ def test_json_rejects_dangling_edge():
         from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{}", "missing key 'alphabet'"),
+        ("[]", "expected a JSON object, got list"),
+        (
+            '{"alphabet": [], "root": 0, "states": [{"id": 0}],'
+            ' "action_edges": [], "prob_edges": []}',
+            "missing key 'kind'",
+        ),
+    ],
+    ids=["empty object", "array", "state without kind"],
+)
+def test_json_rejects_malformed_documents_with_one_line(text, problem):
+    with pytest.raises(ValueError) as info:
+        from_json(text)
+    message = str(info.value)
+    assert problem in message and "\n" not in message
+
+
 def test_json_round_trips_compiled_test():
     from probproc.parser import parse_test
 

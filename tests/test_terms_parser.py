@@ -144,6 +144,14 @@ def test_traversals_survive_deep_terms():
         compile_term(object())
 
 
+def test_deep_terms_hash():
+    chain = success()
+    for _ in range(10_000):
+        chain = prefix("a", chain)
+    assert isinstance(hash(chain), int)
+    assert {chain: 1}[chain] == 1
+
+
 def test_shared_alphabet_of_game_players():
     tosser, guesser = parse_term(GAME_TOSSER), parse_term(GAME_GUESSER)
     assert shared_alphabet(tosser, guesser) == frozenset({"wrt", "rev", "head", "tail"})

@@ -17,9 +17,10 @@ from probproc.parser import parse_term, parse_test
 from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ready_trace_equivalent
-from probproc.semantics import compile_term
-from probproc.terms import has_prob_choice, prefix, render, success
+from probproc.semantics import _Compiler, compile_term
+from probproc.terms import EMPTY_ORDER, alphabet, has_prob_choice, prefix, render, success
 from probproc.testing import (
+    _Outcomes,
     count_tests,
     distinguishing_test,
     iter_tests,
@@ -316,3 +317,34 @@ def test_term_action_depth_survives_deep_chains():
     for _ in range(10_000):
         term = prefix("a", term)
     assert term_action_depth(term) == 10_000
+
+
+def test_shared_term_evaluator_agrees_with_compiled_tests():
+    """Stepping test terms through one memo, in either order, prints exactly
+    what running each compiled test graph on its own prints.
+
+    Each enumeration contributes its first and last 60 tests: the shallowest
+    and the deepest ones with the widest menus, which share the most subtests.
+    """
+    rng = random.Random(7)
+    cfg = GenConfig(seed=7)
+    compiled = {}
+    checked = 0
+    for _ in range(60):
+        term = random_term(cfg, rng)
+        pts = compile_term(term)
+        tests = list(iter_tests(alphabet(term), 2))
+        if len(tests) > 120:
+            tests = tests[:60] + tests[-60:]
+        expected = []
+        for test in tests:
+            if test not in compiled:
+                compiled[test] = compile_term(test)
+            expected.append(str(apply_test(pts, compiled[test])))
+        forward = _Outcomes(pts, _Compiler(EMPTY_ORDER))
+        assert [str(forward.of(test)) for test in tests] == expected
+        backward = _Outcomes(pts, _Compiler(EMPTY_ORDER))
+        reversed_outcomes = [str(backward.of(test)) for test in reversed(tests)]
+        assert reversed_outcomes[::-1] == expected
+        checked += len(tests)
+    assert checked > 5000
