@@ -1,6 +1,7 @@
 """Command-line front end.
 
-    probproc equiv P Q [--method ready-trace|testing] [--depth N] [--prio FILE]
+    probproc equiv P Q [--method ready-trace|testing] [--depth N] [--budget N]
+                       [--prio FILE]
     probproc res P T [--prio FILE]
     probproc trace-prob P --trace "{h,t} -h-> {p}"
     probproc distinguish P Q
@@ -53,7 +54,9 @@ def _cmd_equiv(args) -> int:
     left = _compile_checked(args.left, order, allow_success=False)
     right = _compile_checked(args.right, order, allow_success=False)
     if args.method == "testing":
-        verdict = bounded_testing_equivalent(left, right, depth=args.depth)
+        verdict = bounded_testing_equivalent(
+            left, right, depth=args.depth, budget=args.budget
+        )
         if verdict.equivalent:
             print(f"equivalent (bounded, test depth {verdict.depth})")
             return 0
@@ -142,6 +145,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--method", choices=("ready-trace", "testing"), default="ready-trace"
     )
     equiv.add_argument("--depth", type=int, default=None, help="testing depth bound")
+    equiv.add_argument(
+        "--budget",
+        type=int,
+        default=100000,
+        help="refuse a testing search over more tests than this (default 100000)",
+    )
     equiv.add_argument("--prio", default=None, help="priority order file (lines a > b)")
     equiv.set_defaults(func=_cmd_equiv)
 

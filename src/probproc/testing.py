@@ -19,9 +19,9 @@ never need them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 from .pts import (
     OMEGA,
@@ -40,6 +40,8 @@ from .terms import EMPTY_ORDER, ExternalChoice, Term, success
 
 _ZERO = RationalFn.zero()
 _ONE = RationalFn.one()
+# Test counts above this are reported as a bound, not computed exactly.
+_SHOWN_COUNT = 10**30
 
 
 class _Outcomes:
@@ -54,9 +56,11 @@ class _Outcomes:
     Running synchronizes the process state s with the test node t.  The
     cases are tried in this order: t offers success; s is probabilistic;
     t is probabilistic; otherwise every common label a is taken with weight
-    a / sum(common), in sorted order.  Each pair is computed once; pairs
-    with the top-level test node are not kept, since no other test reaches
-    that node.
+    a / sum(common), in sorted order.  Each pair is computed once.
+
+    `of` builds every sum in that order, so its results print the same
+    however the memo was filled.  `grouped` gives the same functions for
+    tests that differ only below the top, from parts shared between them.
     """
 
     def __init__(self, process: Pts, steps):
@@ -65,12 +69,91 @@ class _Outcomes:
         self._memo: dict[tuple[int, object], RationalFn] = {}
         self._scalars: dict[Fraction, RationalFn] = {}
         self._shares: dict[tuple[str, ...], tuple[RationalFn, ...]] = {}
-        self._top = None
+        self._coefficients: dict[tuple, tuple[tuple[int, RationalFn], ...]] = {}
+        self._parts: dict[tuple, RationalFn] = {}
+        self._shapes: dict[tuple, RationalFn] = {}
+        self._sums: dict[tuple[int, ...], RationalFn] = {}
 
     def of(self, test) -> RationalFn:
         """The outcome of running the test from the process root."""
-        self._top = test
         return self._at(self.process.root, test)
+
+    def grouped(self, test) -> RationalFn:
+        """A function equal to `of(test)`, summed per top-level branch.
+
+        For a test [] a.t_a over labels L the outcome is the sum over a in L
+        of part(L, a, t_a).  Each part is computed once, however many tests
+        share it, and parts with the same polynomials are one object, so
+        each sum of such objects is also built once and returned again
+        as the same object.  The sum may print differently from `of(test)`.
+        """
+        steps = self.steps
+        if steps.prob_steps(test):
+            return self.of(test)
+        actions = steps.action_steps(test)
+        if OMEGA in actions:
+            return _ONE
+        labels = tuple(sorted(actions))
+        parts = tuple(self._part(labels, label, actions[label]) for label in labels)
+        key = tuple(map(id, parts))
+        out = self._sums.get(key)
+        if out is None:
+            out = _ZERO
+            for part in parts:
+                out = out + part
+            self._sums[key] = out
+        return out
+
+    def _part(self, labels: tuple[str, ...], label: str, subtest) -> RationalFn:
+        """Sum of coefficient * outcome(successor, subtest) over the root
+        states that offer the label, for a test over the given labels."""
+        key = (labels, label, subtest)
+        out = self._parts.get(key)
+        if out is None:
+            out = _ZERO
+            for target, coefficient in self._coefficients_of(labels, label):
+                out = out + coefficient * self._at(target, subtest)
+            shape = (frozenset(out.num.items()), frozenset(out.den.items()))
+            out = self._parts[key] = self._shapes.setdefault(shape, out)
+        return out
+
+    def _coefficients_of(
+        self, labels: tuple[str, ...], label: str
+    ) -> tuple[tuple[int, RationalFn], ...]:
+        """(successor, weight * share of the label) for each root state
+        offering the label, in a test over the given labels."""
+        key = (labels, label)
+        out = self._coefficients.get(key)
+        if out is None:
+            process = self.process
+            coefficients = []
+            for state, weight in self._root_weights.items():
+                menu = process.menu(state)
+                if label in menu:
+                    common = tuple(sorted(menu.intersection(labels)))
+                    share = self._share(common)[common.index(label)]
+                    coefficients.append(
+                        (process.action_successor(state, label), self._scalar(weight) * share)
+                    )
+            out = self._coefficients[key] = tuple(coefficients)
+        return out
+
+    @cached_property
+    def _root_weights(self) -> dict[int, Fraction]:
+        """The nondeterministic states the root reaches through weighted
+        steps, each with the sum over paths of the product of weights."""
+        process = self.process
+        weights: dict[int, Fraction] = {}
+        stack = [(process.root, Fraction(1))]
+        while stack:
+            state, weight = stack.pop()
+            if process.kind(state) == "p":
+                stack.extend(
+                    (target, weight * w) for w, target in process.prob_successors(state)
+                )
+            else:
+                weights[state] = weights.get(state, 0) + weight
+        return weights
 
     def _scalar(self, weight: Fraction) -> RationalFn:
         out = self._scalars.get(weight)
@@ -92,11 +175,9 @@ class _Outcomes:
 
     def _at(self, s: int, t) -> RationalFn:
         key = (s, t)
-        keep = t is not self._top
-        if keep:
-            out = self._memo.get(key)
-            if out is not None:
-                return out
+        out = self._memo.get(key)
+        if out is not None:
+            return out
         process, steps = self.process, self.steps
         weighted = steps.prob_steps(t)
         actions = {} if weighted else steps.action_steps(t)
@@ -115,8 +196,7 @@ class _Outcomes:
                 out = out + share * self._at(
                     process.action_successor(s, label), actions[label]
                 )
-        if keep:
-            self._memo[key] = out
+        self._memo[key] = out
         return out
 
 
@@ -202,29 +282,25 @@ def iter_tests(alphabet, max_depth: int):
     yield from _iter_tests((alphabet,) * max_depth, max_depth)
 
 
-def count_tests(universes, max_depth: int) -> int:
-    """Size of the canonical enumeration without materializing it."""
+def count_tests(universes, max_depth: int, cap: int | None = None) -> int:
+    """Size of the canonical enumeration without materializing it.
+
+    A test over labels L at one level picks, for each a in L, success or a
+    test one level deeper, so the tests of depth <= d number
+    (1 + count(next level, d - 1)) ** |universe|.  Counts can have
+    astronomically many digits; with a cap, the result is exact when it is
+    at most the cap and cap + 1 otherwise.
+    """
+    if max_depth < 0:
+        return 0
     universes = tuple(frozenset(u) for u in universes)
-    memo: dict = {}
-
-    def upto(level: int, depth: int) -> int:
-        if depth < 0:
-            return 0
-        key = (level, depth)
-        if key in memo:
-            return memo[key]
-        total = 1  # the success test
-        n = len(universes[level]) if level < len(universes) else 0
-        for d in range(1, depth + 1):
-            u = upto(level + 1, d - 1)
-            v = upto(level + 1, d - 2)
-            total += sum(
-                comb(n, size) * (u**size - v**size) for size in range(1, n + 1)
-            )
-        memo[key] = total
-        return total
-
-    return upto(0, max_depth)
+    total = 1
+    for level in reversed(range(max_depth)):
+        width = len(universes[level]) if level < len(universes) else 0
+        total = (1 + total) ** width
+        if cap is not None and total > cap:
+            total = cap + 1
+    return total
 
 
 def _level_universes(pts: Pts, depth: int) -> list[frozenset[str]]:
@@ -281,26 +357,48 @@ class TestVerdict:
         )
 
 
-def bounded_testing_equivalent(left: Pts, right: Pts, depth: int | None = None) -> TestVerdict:
+def bounded_testing_equivalent(
+    left: Pts, right: Pts, depth: int | None = None, budget: int | None = None
+) -> TestVerdict:
     """Compare outcomes over every canonical test up to the given depth.
 
     The default depth, one more than the larger action depth, makes the
     bounded search a complete decision procedure for acyclic processes.
     Returns the first distinguishing test in enumeration order, if any.
+    With a budget, raises ValueError before enumerating more tests than it.
     """
     left.require_acyclic()
     right.require_acyclic()
     if depth is None:
         depth = max(left.action_depth, right.action_depth) + 1
+    if depth < 0:
+        raise ValueError(f"test depth must be non-negative, got {depth}")
     universes = relevant_universes(left, right, depth)
+    if budget is not None:
+        count = count_tests(universes, depth, cap=max(budget, _SHOWN_COUNT))
+        if count > budget:
+            size = f"more than {_SHOWN_COUNT:.0e}" if count > _SHOWN_COUNT else count
+            raise ValueError(
+                f"bounded testing search up to depth {depth} has {size} tests, "
+                f"over the budget of {budget}"
+            )
     steps = _Compiler(EMPTY_ORDER)
     left_outcomes = _Outcomes(left, steps)
     right_outcomes = _Outcomes(right, steps)
+    # `grouped` hands out one object per distinct sum, so each pair of
+    # outcomes is compared once.
+    differ: dict[tuple[int, int], bool] = {}
     for test in _iter_tests(universes, depth):
-        out_left = left_outcomes.of(test)
-        out_right = right_outcomes.of(test)
-        if out_left != out_right:
-            return TestVerdict(False, depth, test, out_left, out_right)
+        out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
+        key = (id(out_left), id(out_right))
+        if key not in differ:
+            differ[key] = out_left != out_right
+        if differ[key]:
+            # Report the canonical sums: regrouped ones are equal as
+            # functions but may print differently.
+            return TestVerdict(
+                False, depth, test, left_outcomes.of(test), right_outcomes.of(test)
+            )
     return TestVerdict(True, depth)
 
 

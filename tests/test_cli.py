@@ -48,6 +48,33 @@ def test_equiv_testing_method(capsys):
     assert "bounded" in out
 
 
+def test_equiv_testing_rejects_a_negative_depth(capsys):
+    code, out, err = run_cli(
+        capsys, "equiv", "a->b", "a->c", "--method", "testing", "--depth", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: test depth must be non-negative, got -1\n"
+
+
+def test_equiv_testing_refuses_a_search_over_budget(capsys):
+    left = "a->b->c->d [] b->c [] c->d [] d->a"
+    right = "a->b->c->d [] b->c [] c->d [] d->a->b"
+    code, out, err = run_cli(capsys, "equiv", left, right, "--method", "testing")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: bounded testing search up to depth 5 has 10004000600040001 "
+        "tests, over the budget of 100000\n"
+    )
+    # At depth 1 the search has 2^4 tests: the budget bounds it inclusively.
+    shallow = ("equiv", left, right, "--method", "testing", "--depth", "1")
+    assert run_cli(capsys, *shallow, "--budget", "15")[0] == 2
+    code, out, _ = run_cli(capsys, *shallow, "--budget", "16")
+    assert code == 0
+    assert out == "equivalent (bounded, test depth 1)\n"
+
+
 def test_trace_prob(capsys):
     code, out, _ = run_cli(
         capsys, "trace-prob", MIXED_FOLLOWUP_FIRST, "--trace", "{a,b} -b-> {c}"

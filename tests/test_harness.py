@@ -223,3 +223,26 @@ def test_seeded_reports_and_renders_are_pinned(monkeypatch):
     assert _sha256(renders) == (
         "11754293ebed22667a9d1d6d4f217655b17277b69da3fb7f05a66f58031f5c63"
     )
+
+
+def test_coincidence_details_are_pinned(monkeypatch):
+    """Every sample's coincidence detail replays byte for byte.
+
+    The details carry the bounded testing depth of equivalent pairs and the
+    enumeration's first distinguishing test of the others, so any change to
+    the test search's verdicts or order moves the digest.
+    """
+    details: list[str] = []
+    record = CheckReport.record
+
+    def logging_record(self, ok, detail):
+        details.append(json.dumps([ok, detail], sort_keys=True))
+        record(self, ok, detail)
+
+    monkeypatch.setattr(CheckReport, "record", logging_record)
+    cfg = GenConfig(alphabet_size=2, max_depth=3, seed=20260809)
+    assert check_coincidence(cfg, n_samples=40).ok
+    assert len(details) == 40
+    assert _sha256(details) == (
+        "14e05a5831ab5c21bc397ef3888354f26c137d46bd32310b22ccd0899390e852"
+    )

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from probproc.fixtures import (
     COIN_MACHINE_EARLY,
     COIN_MACHINE_LATE,
@@ -12,7 +14,7 @@ from probproc.fixtures import (
     MIXED_FOLLOWUP_PROBE,
     MIXED_FOLLOWUP_SECOND,
 )
-from probproc.harness import GenConfig, random_term
+from probproc.harness import GenConfig, equivalent_pair, random_priority_order, random_term
 from probproc.parser import parse_term, parse_test
 from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
@@ -21,9 +23,11 @@ from probproc.semantics import _Compiler, compile_term
 from probproc.terms import EMPTY_ORDER, alphabet, has_prob_choice, prefix, render, success
 from probproc.testing import (
     _Outcomes,
+    _iter_tests,
     count_tests,
     distinguishing_test,
     iter_tests,
+    relevant_universes,
     term_action_depth,
     apply_test,
     bounded_testing_equivalent,
@@ -162,6 +166,28 @@ def test_enumeration_respects_per_level_universes():
     # nothing can continue below the empty middle level
     assert tests == ["w", "a->w"]
     assert count_tests(universes, 3) == 2
+
+
+def test_count_tests_caps_astronomical_counts():
+    # Each level squares the count: at 60 levels it has about 2^60 digits.
+    wide = (frozenset("ab"),) * 60
+    assert count_tests(wide, 60, cap=10**6) == 10**6 + 1
+    assert [count_tests(wide, depth) for depth in range(5)] == [1, 4, 25, 676, 458329]
+    assert count_tests(wide, 4, cap=458329) == 458329
+    assert count_tests(wide, 4, cap=1000) == 1001
+    # An empty level above cuts everything below it off.
+    assert count_tests((frozenset(),) + wide, 60, cap=10) == 1
+    assert count_tests(wide, -1) == 0
+
+
+def test_bounded_search_rejects_negative_depth_and_over_budget():
+    machine = graph(COIN_MACHINE_EARLY)
+    with pytest.raises(ValueError, match="non-negative"):
+        bounded_testing_equivalent(machine, machine, depth=-1)
+    size = count_tests(relevant_universes(machine, machine, 3), 3)
+    with pytest.raises(ValueError, match=f"has {size} tests, over the budget of {size - 1}"):
+        bounded_testing_equivalent(machine, machine, depth=3, budget=size - 1)
+    assert bounded_testing_equivalent(machine, machine, depth=3, budget=size).equivalent
 
 
 def test_bounded_equivalence_of_coin_machines():
@@ -348,3 +374,94 @@ def test_shared_term_evaluator_agrees_with_compiled_tests():
         assert reversed_outcomes[::-1] == expected
         checked += len(tests)
     assert checked > 5000
+
+
+def _canonical_search(left: Pts, right: Pts, depth: int):
+    """The bounded search with every outcome computed by `_Outcomes.of`,
+    checking on the way that the grouped outcome of each test is equal."""
+    steps = _Compiler(EMPTY_ORDER)
+    left_of, right_of = _Outcomes(left, steps), _Outcomes(right, steps)
+    left_grouped, right_grouped = _Outcomes(left, steps), _Outcomes(right, steps)
+    for test in _iter_tests(relevant_universes(left, right, depth), depth):
+        out_left, out_right = left_of.of(test), right_of.of(test)
+        assert left_grouped.grouped(test) == out_left
+        assert right_grouped.grouped(test) == out_right
+        if out_left != out_right:
+            return (False, depth, render(test), str(out_left), str(out_right))
+    return (True, depth, None, "None", "None")
+
+
+def _searched(left: Pts, right: Pts, depth: int):
+    verdict = bounded_testing_equivalent(left, right, depth=depth)
+    test = None if verdict.test is None else render(verdict.test)
+    return (
+        verdict.equivalent, verdict.depth, test,
+        str(verdict.left_result), str(verdict.right_result),
+    )
+
+
+def test_grouped_outcomes_sum_weights_over_paths():
+    """State 2 is reached by two weighted paths, 1/2 directly and 1/2 * 1/2
+    through the probabilistic state 1; `of` follows each path separately."""
+    chain = Pts.build(
+        alphabet={"a", "b", "c"},
+        kinds={0: "p", 1: "p", 2: "n", 3: "n", 4: "n", 5: "n"},
+        action_edges=[(2, "a", 4), (2, "b", 5), (3, "a", 5), (4, "c", 5)],
+        prob_edges=[(0, F(1, 2), 2), (0, F(1, 2), 1), (1, F(1, 2), 2), (1, F(1, 2), 3)],
+        root=0,
+    )
+    flat = graph("p{3/4:(a->c->0 [] b->0), 1/4:a->0}")
+    steps = _Compiler(EMPTY_ORDER)
+    outcomes = [_Outcomes(pts, steps) for pts in (chain, chain, flat)]
+    for test in iter_tests("abc", 2):
+        canonical = outcomes[0].of(test)
+        assert outcomes[1].grouped(test) == canonical
+        assert outcomes[2].grouped(test) == canonical
+
+
+def test_grouped_outcomes_are_equal_but_may_print_unreduced():
+    # Why the search reports `of`: both states reach b->0 by a, and adding
+    # their parts keeps the common factor (a + c) in the grouped sum.
+    process = graph("p{3/4:a->b [] c, 1/4:a->b [] c->c}")
+    test = parse_test("a->w [] c->c->w")
+    steps = _Compiler(EMPTY_ORDER)
+    grouped = _Outcomes(process, steps).grouped(test)
+    canonical = _Outcomes(process, steps).of(test)
+    assert grouped == canonical
+    assert str(canonical) == "(4*a + c) / (4*a + 4*c)"
+    assert str(grouped) != str(canonical)
+
+
+def test_grouped_search_matches_canonical_outcomes():
+    """The search over per-branch parts finds the same first test, at the
+    same depth, and prints the same outcomes as comparing canonical
+    outcomes test by test; every grouped outcome equals the canonical one."""
+    # The first root reaches (a->c->0 [] b->0) by two paths of the term.
+    left = graph("p{1/2:p{1/2:(a->c->0 [] b->0), 1/2:a->0}, 1/2:(a->c->0 [] b->0)}")
+    for right, equivalent in (
+        (graph("p{3/4:(a->c->0 [] b->0), 1/4:a->0}"), True),
+        (graph("p{1/2:(a->c->0 [] b->0), 1/2:a->0}"), False),
+    ):
+        found = _searched(left, right, 3)
+        assert found == _canonical_search(left, right, 3)
+        assert found[0] == equivalent
+
+    rng = random.Random(2027)
+    verdicts = []
+    for cfg in (GenConfig(seed=2027), GenConfig(alphabet_size=2, max_depth=3, seed=2027)):
+        for index in range(40):
+            order = random_priority_order(cfg, rng)
+            if index % 2:
+                pair = equivalent_pair(cfg, rng)
+            else:
+                pair = random_term(cfg, rng), random_term(cfg, rng)
+            left, right = (compile_term(term, order) for term in pair)
+            depth = 1
+            while depth < 4 and count_tests(
+                relevant_universes(left, right, depth + 1), depth + 1
+            ) <= 200:
+                depth += 1
+            expected = _canonical_search(left, right, depth)
+            assert _searched(left, right, depth) == expected
+            verdicts.append(expected[0])
+    assert 20 < verdicts.count(True) < 60
