@@ -17,8 +17,9 @@ Errors carry line and column numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .pts import OMEGA
 from .terms import (
@@ -40,8 +41,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -49,52 +49,72 @@ class _Token:
 
 
 _SYMBOLS = ["|[]|", "[]", "||", "->", "{", "}", "(", ")", ",", ":", "/"]
+# One token per match: a whitespace run, a symbol (tried in list order, so
+# longest first), a word run, or any other single character (an error).
+_TOKEN = re.compile(r"(\s+)|(%s)|(\w+)|(.)" % "|".join(map(re.escape, _SYMBOLS)))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        chunk = match.group()
+        if group == 1:
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                column = len(chunk) - chunk.rindex("\n")
+            else:
+                column += len(chunk)
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        matched = False
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(_Token(symbol, symbol, line, column))
-                i += len(symbol)
-                column += len(symbol)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
+        if group == 2:
+            tokens.append(_Token(chunk, chunk, line, column))
+        elif group == 4:
+            raise ParseError(f"unexpected character {chunk!r}", line, column)
+        elif chunk.isdigit():
+            tokens.append(_Token("int", chunk, line, column))
+        elif chunk[0].isalpha() or chunk[0] == "_":
+            tokens.append(_Token("name", chunk, line, column))
+        else:
+            tokens += _split_word(chunk, line, column)
+        column += len(chunk)
     tokens.append(_Token("end", "", line, column))
     return tokens
+
+
+def _split_word(word: str, line: int, column: int) -> list[_Token]:
+    """Split a word run that mixes digits with other characters.
+
+    Digit runs become "int" tokens; a letter or "_" starts a "name" that runs
+    to the end of the word.
+    """
+    tokens = []
+    i = 0
+    while i < len(word):
+        ch = word[i]
+        if ch.isdigit():
+            j = i + 1
+            while j < len(word) and word[j].isdigit():
+                j += 1
+            tokens.append(_Token("int", word[i:j], line, column + i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            tokens.append(_Token("name", word[i:], line, column + i))
+            break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, column + i)
+    return tokens
+
+
+def _weight_int(token: _Token) -> int:
+    # str.isdigit, and so the tokenizer, accepts digits such as "²" that int() rejects
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ParseError(
+            f"weight {token.text!r} is not a decimal number", token.line, token.column
+        ) from None
 
 
 class _Parser:
@@ -213,15 +233,15 @@ class _Parser:
 
     def parse_weighted(self) -> tuple[Fraction, Term]:
         token = self.expect("int")
-        numerator = int(token.text)
+        numerator = _weight_int(token)
         denominator = 1
         if self.peek().kind == "/":
             self.next()
-            denominator = int(self.expect("int").text)
+            denominator = _weight_int(self.expect("int"))
         if denominator == 0:
             raise ParseError("weight denominator is zero", token.line, token.column)
         weight = Fraction(numerator, denominator)
-        if not (0 < weight <= 1):
+        if not 0 < numerator <= denominator:
             raise ParseError(f"weight {weight} is outside (0,1]", token.line, token.column)
         self.expect(":")
         return (weight, self.parse_process())

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .pts import Pts
 from .terms import (
@@ -199,27 +198,53 @@ def composition_warnings(term: Term) -> list[str]:
     a single composition stays meaningful.
     """
     warnings: list[str] = []
-
-    def components(node: Term) -> list[Term]:
-        if isinstance(node, SharedPar):
-            return components(node.left) + components(node.right)
-        return [node]
-
     stack = [(term, False)]
     while stack:
         node, under_shared = stack.pop()
         if isinstance(node, SharedPar) and not under_shared:
-            labels = [alphabet(part) for part in components(node)]
-            for a, b, c in combinations(range(len(labels)), 3):
+            warnings.extend(_chain_warnings(node))
+        inside = isinstance(node, SharedPar)
+        stack.extend((child, inside) for child in reversed(children(node)))
+    return warnings
+
+
+def _chain_warnings(chain: SharedPar) -> list[str]:
+    """One warning per component triple a < b < c that shares actions pairwise.
+
+    The chain is flattened with an explicit stack.  Only components sharing
+    an action with `a` can complete a triple, so the triples come from a
+    label -> components index rather than all C(n,3) combinations; they are
+    visited in the same lexicographic order.
+    """
+    parts: list[Term] = []
+    stack = [chain]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SharedPar):
+            stack.extend((node.right, node.left))
+        else:
+            parts.append(node)
+    if len(parts) < 3:
+        return []
+    labels = [alphabet(part) for part in parts]
+    holders: dict[str, list[int]] = {}
+    for index, own in enumerate(labels):
+        for label in own:
+            holders.setdefault(label, []).append(index)
+    later = [
+        {j for label in own for j in holders[label] if j > index}
+        for index, own in enumerate(labels)
+    ]
+    warnings = []
+    for a, after_a in enumerate(later):
+        for b in sorted(after_a):
+            for c in sorted(after_a & later[b]):
                 ab = labels[a] & labels[b]
                 bc = labels[b] & labels[c]
                 ac = labels[a] & labels[c]
-                if ab and bc and ac:
-                    warnings.append(
-                        "components %d, %d and %d of a |[]| chain share actions "
-                        "pairwise (%s); the chain is not associative"
-                        % (a, b, c, sorted(ab | bc | ac))
-                    )
-        inside = isinstance(node, SharedPar)
-        stack.extend((child, inside) for child in reversed(children(node)))
+                warnings.append(
+                    "components %d, %d and %d of a |[]| chain share actions "
+                    "pairwise (%s); the chain is not associative"
+                    % (a, b, c, sorted(ab | bc | ac))
+                )
     return warnings

@@ -136,15 +136,24 @@ def children(term: Term) -> list[Term]:
 
 
 def map_children(term: Term, fn: Callable[[Term], object]) -> Term:
-    """The same constructor rebuilt with `fn` applied to each immediate subterm."""
-    if isinstance(term, ExternalChoice):
-        return ExternalChoice(tuple((label, fn(sub)) for label, sub in term.branches))
-    if isinstance(term, ProbChoice):
-        return ProbChoice(tuple((weight, fn(sub)) for weight, sub in term.branches))
+    """The same constructor rebuilt with `fn` applied to each immediate subterm.
+
+    When `fn` returns every subterm itself, the term itself is returned, so a
+    rewrite rebuilds only the nodes above the subterms it changes.
+    """
+    if isinstance(term, (ExternalChoice, ProbChoice)):
+        subs = [fn(sub) for _, sub in term.branches]
+        if all(new is old for new, (_, old) in zip(subs, term.branches)):
+            return term
+        return type(term)(tuple((key, new) for (key, _), new in zip(term.branches, subs)))
     if isinstance(term, Priority):
-        return Priority(fn(term.body))
+        body = fn(term.body)
+        return term if body is term.body else Priority(body)
     if isinstance(term, (SyncPar, SharedPar)):
-        return type(term)(fn(term.left), fn(term.right))
+        left, right = fn(term.left), fn(term.right)
+        if left is term.left and right is term.right:
+            return term
+        return type(term)(left, right)
     if isinstance(term, Empty):
         return term
     raise TypeError(f"not a term: {term!r}")

@@ -133,6 +133,13 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_unreadable_weight_is_a_positioned_parse_error(capsys):
+    code, out, err = run_cli(capsys, "equiv", "p{²:a}", "a")
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight '²' is not a decimal number (line 1, column 3)\n"
+
+
 def test_internal_error_exits_2_with_one_line(capsys):
     # Exit 1 would claim the two operands were distinguished.
     chain = "a->" * 600 + "0"

@@ -1,14 +1,17 @@
 """Compilation rules: flattening, priority, both parallels, state sharing."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 from probproc.fixtures import GAME_GUESSER, GAME_TOSSER
 from probproc.harness import GenConfig, random_priority_order, random_term
 from probproc.parser import parse_priority, parse_term, parse_test
-from probproc.pts import OMEGA, Pts, tree_signature, validate
-from probproc.semantics import compile_term, composition_warnings
-from probproc.terms import SharedPar, alphabet
+from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
+from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
+from probproc.terms import Priority, SharedPar, SyncPar, alphabet, prefix, subterms
 
 F = Fraction
 
@@ -167,3 +170,82 @@ def test_composition_warning_on_pairwise_sharing_chain():
     # sharing p,q and q,r without p,r sharing is allowed
     chain = parse_term("(a->0 |[]| a->b->0) |[]| b->0")
     assert composition_warnings(chain) == []
+
+
+def test_compiled_graphs_are_pinned():
+    """Compiled JSON of seeded random terms replays byte for byte."""
+    cfg = GenConfig(alphabet_size=3, max_depth=4, seed=0)
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    kinds = set()
+    for _ in range(200):
+        term = random_term(cfg, rng)
+        kinds |= {type(node) for node in subterms(term)}
+        digest.update(to_json(compile_term(term, random_priority_order(cfg, rng))).encode())
+        digest.update(b"\n")
+    assert {SharedPar, Priority} <= kinds
+    assert digest.hexdigest() == (
+        "1b736f550c7790ff7c00a1e39aa1f6fc21baf0e140cb17825a5694adae48cc7a"
+    )
+
+
+def test_pinning_sync_sets_rebuilds_only_above_a_shared_parallel():
+    free = parse_term("p{1/2:a->b, 1/2:prio(c [] d)} || (a->c [] b)")
+    assert _pin_sync_sets(free) is free
+    left, right = parse_term("a->b"), parse_term("b [] c->d")
+    term = SyncPar(free, Priority(SharedPar(left, right)))
+    pinned = _pin_sync_sets(term)
+    assert pinned is not term and pinned.left is free
+    shared = pinned.right.body
+    assert isinstance(shared, _Shared)
+    assert shared.left is left and shared.right is right
+    assert shared.sync == frozenset({"b"})
+
+
+def _naive_chain_warnings(parts):
+    labels = [alphabet(part) for part in parts]
+    warnings = []
+    for a, b, c in combinations(range(len(labels)), 3):
+        ab, bc, ac = labels[a] & labels[b], labels[b] & labels[c], labels[a] & labels[c]
+        if ab and bc and ac:
+            warnings.append(
+                "components %d, %d and %d of a |[]| chain share actions "
+                "pairwise (%s); the chain is not associative"
+                % (a, b, c, sorted(ab | bc | ac))
+            )
+    return warnings
+
+
+def _random_chain(parts, rng):
+    """Some bracketing of parts[0] |[]| ... |[]| parts[-1]."""
+    if len(parts) == 1:
+        return parts[0]
+    k = rng.randint(1, len(parts) - 1)
+    return SharedPar(_random_chain(parts[:k], rng), _random_chain(parts[k:], rng))
+
+
+def test_composition_warnings_match_the_scan_of_every_triple():
+    rng = random.Random(11)
+    # depth 1 keeps |[]| out of the parts' subterms, so each chain is the only one
+    cfg = GenConfig(alphabet_size=4, max_depth=1, seed=11)
+    seen = 0
+    for _ in range(300):
+        parts = []
+        while len(parts) < 16:
+            part = random_term(cfg, rng)
+            if not isinstance(part, SharedPar):
+                parts.append(part)
+        parts = parts[: rng.randint(1, 16)]
+        expected = _naive_chain_warnings(parts)
+        assert composition_warnings(_random_chain(parts, rng)) == expected
+        seen += len(expected)
+    assert seen > 100
+
+
+def test_composition_warnings_handle_a_long_chain():
+    chain = prefix("a0")
+    for i in range(1, 10_000):
+        chain = SharedPar(chain, prefix(f"a{i}", prefix(f"b{i}")))
+    started = time.perf_counter()
+    assert composition_warnings(chain) == []
+    assert time.perf_counter() - started < 5

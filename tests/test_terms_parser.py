@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from probproc import parser
 from probproc.fixtures import COIN_MACHINE_EARLY, GAME_GUESSER, GAME_TOSSER
-from probproc.harness import GenConfig, random_term
+from probproc.harness import GenConfig, equivalent_pair, random_term
 from probproc.parser import ParseError, parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA
 from probproc.semantics import compile_term
@@ -16,9 +17,11 @@ from probproc.terms import (
     PriorityOrder,
     ProbChoice,
     Priority,
+    SharedPar,
     SyncPar,
     alphabet,
     has_prob_choice,
+    map_children,
     prefix,
     render,
     shared_alphabet,
@@ -203,3 +206,124 @@ def test_render_round_trip_random():
     for _ in range(1000):
         term = random_term(cfg, rng)
         assert parse_term(render(term)) == term
+
+
+def test_unreadable_weight_digits_give_a_positioned_parse_error():
+    # "²" passes str.isdigit, so it lexes as an int token, but int() rejects it
+    with pytest.raises(ParseError) as info:
+        parse_term("p{²:a}")
+    assert str(info.value) == "weight '²' is not a decimal number (line 1, column 3)"
+    with pytest.raises(ParseError) as info:
+        parse_term("p{1/2:a,\n  1/7²:b}")
+    assert (info.value.line, info.value.column) == (2, 5)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The character-by-character tokenizer that the single pattern replaced."""
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        matched = False
+        for symbol in parser._SYMBOLS:
+            if text.startswith(symbol, i):
+                tokens.append((symbol, symbol, line, column))
+                i += len(symbol)
+                column += len(symbol)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], line, column))
+            column += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], line, column))
+            column += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(("end", "", line, column))
+    return tokens
+
+
+# Every symbol, the keyword-like labels, ASCII word characters, whitespace
+# that does and does not end a line, and characters that trip str.isdigit,
+# str.isalpha or the word pattern: a superscript digit, a vulgar fraction,
+# an Arabic-Indic digit, a precomposed and a combining accent, and "$".
+_PIECES = parser._SYMBOLS + ["p", "prio", "w", "a", "Zq", "x9", "_", "0", "12", "7"]
+_PIECES += ["\n", "\t", "\r", "\x85", " ", "²", "½", "١", "é", "e\u0301", "$"]
+
+
+def _lex(tokenize, text):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_tokenizer_agrees_with_the_character_by_character_reference():
+    rng = random.Random(20261018)
+    errors = 0
+    for _ in range(50_000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10)))
+        expected = _lex(_reference_tokenize, text)
+        assert _lex(parser._tokenize, text) == expected, repr(text)
+        errors += isinstance(expected, str)
+    assert 5_000 < errors < 45_000  # both outcomes are well represented
+
+
+def test_parses_agree_with_the_reference_tokenizer(monkeypatch):
+    texts = []
+    for seed in (3, 2009):
+        cfg = GenConfig(seed=seed)
+        rng = random.Random(seed)
+        texts += [render(random_term(cfg, rng)) for _ in range(200)]
+        for _ in range(100):
+            texts += [render(term) for term in equivalent_pair(cfg, rng)]
+    texts += [text.replace(" ", "\n\t ") for text in texts[::7]]
+
+    def parse_all():
+        return [(parse_term(text), parse_test(text)) for text in texts]
+
+    fast = parse_all()
+    monkeypatch.setattr(
+        parser, "_tokenize", lambda text: [parser._Token(*t) for t in _reference_tokenize(text)]
+    )
+    assert parse_all() == fast
+
+
+def test_map_children_returns_the_term_when_no_child_changes():
+    a, b = prefix("a"), prefix("b", prefix("c"))
+    terms = [
+        Empty(),
+        ExternalChoice((("a", a), ("b", b))),
+        ProbChoice(((F(1, 3), a), (F(2, 3), b))),
+        Priority(b),
+        SyncPar(a, b),
+        SharedPar(a, b),
+    ]
+    for term in terms:
+        assert map_children(term, lambda sub: sub) is term
+        # an equal but distinct child still counts as a change
+        rebuilt = map_children(term, lambda sub: ExternalChoice(sub.branches))
+        assert rebuilt == term
+        assert isinstance(term, Empty) or rebuilt is not term
