@@ -65,12 +65,15 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _peval(a: Poly, values: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
+def _pscaled(a: Poly, powers: Mapping[str, list[int]]) -> int:
+    """The sum over terms c * prod_x powers[x][e_x], e_x being 0 for an
+    absent variable x."""
+    total = 0
     for mono, coeff in a.items():
         term = coeff
-        for name, exp in mono:
-            term *= values[name] ** exp
+        exps = dict(mono)
+        for name, table in powers.items():
+            term *= table[exps.get(name, 0)]
         total += term
     return total
 
@@ -199,13 +202,26 @@ class RationalFn:
             if value <= 0:
                 raise ValueError(f"variable {name!r} must be positive, got {value}")
             values[name] = value
-        missing = self.variables() - values.keys()
+        # With x = n/d raised at most to E_x over num and den together,
+        # multiplying both by the product of d^E_x turns each term
+        # c * x^e into the integer c * n^e * d^(E_x - e).
+        top: dict[str, int] = {}
+        for poly in (self.num, self.den):
+            for mono in poly:
+                for name, exp in mono:
+                    if exp > top.get(name, 0):
+                        top[name] = exp
+        missing = top.keys() - values.keys()
         if missing:
             raise ValueError(f"no value given for variable(s) {sorted(missing)}")
-        den = _peval(self.den, values)
+        powers = {}
+        for name, most in top.items():
+            n, d = values[name].numerator, values[name].denominator
+            powers[name] = [n**e * d ** (most - e) for e in range(most + 1)]
+        num, den = _pscaled(self.num, powers), _pscaled(self.den, powers)
         if den == 0:
             raise ZeroDivisionError("denominator vanished at the given point")
-        return _peval(self.num, values) / den
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         return format_ratfunc(self)

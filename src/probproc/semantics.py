@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pts import Pts
+from .pts import OMEGA, Pts
 from .terms import (
     EMPTY_ORDER,
     ExternalChoice,
@@ -41,7 +41,6 @@ from .terms import (
     alphabet,
     children,
     map_children,
-    shared_alphabet,
 )
 
 
@@ -62,12 +61,30 @@ class _Shared:
 
 def _pin_sync_sets(term: Term):
     if isinstance(term, SharedPar):
-        return _Shared(
-            _pin_sync_sets(term.left),
-            _pin_sync_sets(term.right),
-            shared_alphabet(term.left, term.right),
-        )
+        return _pin_with_alphabet(term)[0]
     return map_children(term, _pin_sync_sets)
+
+
+def _pin_with_alphabet(term: Term):
+    """The pinned term and its alphabet, for a term under a |[]|.
+
+    Each |[]| takes its operands' alphabets from this same walk, so a chain
+    of compositions is visited once rather than once per |[]| above it.
+    """
+    if isinstance(term, SharedPar):
+        left, left_labels = _pin_with_alphabet(term.left)
+        right, right_labels = _pin_with_alphabet(term.right)
+        return _Shared(left, right, left_labels & right_labels), left_labels | right_labels
+    labels: set[str] = set()
+    if isinstance(term, ExternalChoice):
+        labels.update(label for label, _ in term.branches if label != OMEGA)
+
+    def pin(child: Term):
+        pinned, child_labels = _pin_with_alphabet(child)
+        labels.update(child_labels)
+        return pinned
+
+    return map_children(term, pin), frozenset(labels)
 
 
 class _Compiler:

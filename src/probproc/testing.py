@@ -14,12 +14,15 @@ branches each continue as a canonical test (success being the depth-zero
 one).  Branches that can never succeed are omitted: they only ever
 contribute outcome zero and distinguish nothing, and synthesized witnesses
 never need them.
+
+The bounded search decides from per-branch functionals whether any test up
+to the depth differs, and at which smallest depth (`_differing_depth`); it
+enumerates tests only at that depth, to report the first differing one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -61,6 +64,7 @@ class _Outcomes:
     `of` builds every sum in that order, so its results print the same
     however the memo was filled.  `grouped` gives the same functions for
     tests that differ only below the top, from parts shared between them.
+    Its parts come from `unit_step`, which `_differing_depth` also uses.
     """
 
     def __init__(self, process: Pts, steps):
@@ -69,7 +73,8 @@ class _Outcomes:
         self._memo: dict[tuple[int, object], RationalFn] = {}
         self._scalars: dict[Fraction, RationalFn] = {}
         self._shares: dict[tuple[str, ...], tuple[RationalFn, ...]] = {}
-        self._coefficients: dict[tuple, tuple[tuple[int, RationalFn], ...]] = {}
+        self._weights: dict[int, dict[int, Fraction]] = {}
+        self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], Fraction]] = {}
         self._parts: dict[tuple, RationalFn] = {}
         self._shapes: dict[tuple, RationalFn] = {}
         self._sums: dict[tuple[int, ...], RationalFn] = {}
@@ -105,55 +110,66 @@ class _Outcomes:
         return out
 
     def _part(self, labels: tuple[str, ...], label: str, subtest) -> RationalFn:
-        """Sum of coefficient * outcome(successor, subtest) over the root
-        states that offer the label, for a test over the given labels."""
+        """Sum of coefficient * outcome(successor, subtest) over the
+        successors the root reaches by the label, in a test over the labels."""
         key = (labels, label, subtest)
         out = self._parts.get(key)
         if out is None:
             out = _ZERO
-            for target, coefficient in self._coefficients_of(labels, label):
+            successors = self.unit_step(self.process.root, labels)[0].get(label, {})
+            for target, coefficient in successors.items():
                 out = out + coefficient * self._at(target, subtest)
-            shape = (frozenset(out.num.items()), frozenset(out.den.items()))
-            out = self._parts[key] = self._shapes.setdefault(shape, out)
+            out = self._parts[key] = self._shapes.setdefault(_shape(out), out)
         return out
 
-    def _coefficients_of(
-        self, labels: tuple[str, ...], label: str
-    ) -> tuple[tuple[int, RationalFn], ...]:
-        """(successor, weight * share of the label) for each root state
-        offering the label, in a test over the given labels."""
-        key = (labels, label)
-        out = self._coefficients.get(key)
+    def unit_step(
+        self, state: int, labels: tuple[str, ...]
+    ) -> tuple[dict[str, dict[int, RationalFn]], Fraction]:
+        """One step of a test over the labels from the state: per label b,
+        each successor by b with the sum of weight * share of b over the
+        nondeterministic states leading to it; and the total weight of the
+        states offering some label, which is the sum of all coefficients
+        because each state's shares add up to one."""
+        key = (state, labels)
+        out = self._unit_steps.get(key)
         if out is None:
             process = self.process
-            coefficients = []
-            for state, weight in self._root_weights.items():
-                menu = process.menu(state)
-                if label in menu:
-                    common = tuple(sorted(menu.intersection(labels)))
-                    share = self._share(common)[common.index(label)]
-                    coefficients.append(
-                        (process.action_successor(state, label), self._scalar(weight) * share)
-                    )
-            out = self._coefficients[key] = tuple(coefficients)
+            step: dict[str, dict[int, RationalFn]] = {}
+            total = Fraction(0)
+            for settled, weight in self.weights(state).items():
+                common = tuple(sorted(process.menu(settled).intersection(labels)))
+                if not common:
+                    continue
+                total += weight
+                scaled = self._scalar(weight)
+                for label, share in zip(common, self._share(common)):
+                    successors = step.setdefault(label, {})
+                    target = process.action_successor(settled, label)
+                    coefficient = scaled * share
+                    if target in successors:
+                        coefficient = successors[target] + coefficient
+                    successors[target] = coefficient
+            out = self._unit_steps[key] = (step, total)
         return out
 
-    @cached_property
-    def _root_weights(self) -> dict[int, Fraction]:
-        """The nondeterministic states the root reaches through weighted
+    def weights(self, state: int) -> dict[int, Fraction]:
+        """The nondeterministic states the state reaches through weighted
         steps, each with the sum over paths of the product of weights."""
-        process = self.process
-        weights: dict[int, Fraction] = {}
-        stack = [(process.root, Fraction(1))]
-        while stack:
-            state, weight = stack.pop()
-            if process.kind(state) == "p":
-                stack.extend(
-                    (target, weight * w) for w, target in process.prob_successors(state)
-                )
-            else:
-                weights[state] = weights.get(state, 0) + weight
-        return weights
+        out = self._weights.get(state)
+        if out is None:
+            process = self.process
+            out = self._weights[state] = {}
+            stack = [(state, Fraction(1))]
+            while stack:
+                settled, weight = stack.pop()
+                if process.kind(settled) == "p":
+                    stack.extend(
+                        (target, weight * w)
+                        for w, target in process.prob_successors(settled)
+                    )
+                else:
+                    out[settled] = out.get(settled, 0) + weight
+        return out
 
     def _scalar(self, weight: Fraction) -> RationalFn:
         out = self._scalars.get(weight)
@@ -200,6 +216,11 @@ class _Outcomes:
         return out
 
 
+def _shape(f: RationalFn) -> tuple:
+    """The polynomials of f as a hashable key: equal keys, identical functions."""
+    return frozenset(f.num.items()), frozenset(f.den.items())
+
+
 class _GraphSteps:
     """Steps through a compiled test graph the way `_Compiler` steps terms."""
 
@@ -236,16 +257,21 @@ def _exact_depth_tests(
 ) -> list[Term]:
     """All canonical tests of exact action depth `depth`, whose actions at
     each nesting level come from the corresponding universe; deterministic
-    order (label-set size, labels, then branch combinations)."""
-    key = (level, depth)
+    order (label-set size, labels, then branch combinations).
+
+    The tests depend only on the universes they can reach, so the memo is
+    keyed by those: equal subtests at different levels are one object.
+    """
+    span = universes[level : level + depth]
+    key = (span, depth)
     if key in memo:
         return memo[key]
     if depth == 0:
         memo[key] = [success()]
         return memo[key]
     out: list[Term] = []
-    if level < len(universes) and universes[level]:
-        allowed = sorted(universes[level])
+    if span and span[0]:
+        allowed = sorted(span[0])
         options: list[tuple[int, Term]] = []
         for d in range(depth):
             options.extend(
@@ -338,6 +364,121 @@ def relevant_universes(left: Pts, right: Pts, depth: int) -> tuple[frozenset[str
     return tuple(a | b for a, b in zip(la, lb))
 
 
+def _differing_depth(left: _Outcomes, right: _Outcomes, depth: int) -> int | None:
+    """The smallest exact depth of a test, up to `depth`, whose outcomes on
+    the two processes differ; None when no such test does.
+
+    Works on functionals instead of tests.  A functional is a pair of
+    coefficient maps, alpha over left states and beta over right states,
+    and sends a test t to sum alpha(s) * outcome(s, t) minus the same sum
+    for beta.  The processes agree on every test when ({left root: 1},
+    {right root: 1}) is constant, its value at success being 0.
+
+    A test [] b.t_b over labels L sends a functional to the sum over b of
+    its child (alpha_{L,b}, beta_{L,b}) at t_b, each state's coefficient
+    carried along its `_Outcomes.unit_step`.  The t_b vary independently,
+    so the functional is constant iff for every L each child is constant
+    one level down, and the children's values at success balance its own:
+
+        sum beta + sum_b total(alpha_{L,b}) == sum alpha + sum_b total(beta_{L,b})
+
+    A unit step's total is the number T(s, L), so the balance reads
+    sum alpha(s) * (1 - T(s, L)) == sum beta(s) * (1 - T(s, L)), the weight
+    L blocks on each side, and needs no subtraction of functions.  A failed
+    balance shows at the depth-1 test [] b.w; a child first not constant at
+    depth d shows at depth d + 1.
+
+    Labels that no state of the functional offers change neither balance
+    nor children, so L ranges over the offered labels only.  That leaves
+    out the tests that block every state, which score sum alpha against
+    sum beta; those agree already, since the balances one level up fix the
+    mass the functional puts on each menu, and with it the children's
+    totals.  So the answer is the same for tests over any labels as over
+    the relevant universes, whatever the level.  Functionals are memoized
+    per remaining depth and coefficient polynomials.
+    """
+    memo: dict[tuple, int | None] = {}
+
+    def key(coefficients: dict[int, RationalFn]) -> frozenset:
+        return frozenset((state, _shape(c)) for state, c in coefficients.items())
+
+    def differs(remaining: int, alpha: dict, beta: dict) -> int | None:
+        """The smallest depth <= remaining of a test on which the
+        functional differs from its value at success, or None."""
+        if remaining == 0:
+            return None
+        memo_key = (remaining, key(alpha), key(beta))
+        if memo_key in memo:
+            return memo[memo_key]
+        label_sets = _label_sets(_offered(alpha, left) | _offered(beta, right))
+        out = None
+        for labels in label_sets:
+            if _blocked(alpha, left, labels) != _blocked(beta, right, labels):
+                out = 1
+                break
+        else:
+            for labels, label in ((ls, label) for ls in label_sets for label in ls):
+                # Once a child differs, only a shallower difference matters.
+                bound = remaining - 1 if out is None else out - 2
+                if bound < 1:
+                    break
+                found = differs(
+                    bound,
+                    _successors(alpha, left, labels, label),
+                    _successors(beta, right, labels, label),
+                )
+                if found is not None:
+                    out = found + 1
+        memo[memo_key] = out
+        return out
+
+    return differs(depth, {left.process.root: _ONE}, {right.process.root: _ONE})
+
+
+def _label_sets(labels: frozenset[str]) -> list[tuple[str, ...]]:
+    """The non-empty subsets of the labels, each sorted."""
+    ordered = sorted(labels)
+    return [
+        subset for size in range(1, len(ordered) + 1) for subset in combinations(ordered, size)
+    ]
+
+
+def _offered(coefficients: dict, outcomes: _Outcomes) -> frozenset[str]:
+    """Every label some settled state of the coefficient map offers."""
+    process = outcomes.process
+    return frozenset().union(
+        *(process.menu(settled) for state in coefficients for settled in outcomes.weights(state))
+    )
+
+
+def _blocked(coefficients: dict, outcomes: _Outcomes, labels: tuple[str, ...]) -> RationalFn:
+    """The sum of coefficient * (1 - T(state, labels)): the weight that a
+    test over the labels blocks."""
+    out = _ZERO
+    for state, coefficient in coefficients.items():
+        blocked = 1 - outcomes.unit_step(state, labels)[1]
+        if blocked:
+            if blocked != 1:
+                coefficient = coefficient * outcomes._scalar(blocked)
+            out = out + coefficient
+    return out
+
+
+def _successors(
+    coefficients: dict, outcomes: _Outcomes, labels: tuple[str, ...], label: str
+) -> dict[int, RationalFn]:
+    """The coefficient map of one child: each state's coefficient carried
+    along its unit step by the label, added per successor."""
+    out: dict[int, RationalFn] = {}
+    for state, coefficient in coefficients.items():
+        for target, weight in outcomes.unit_step(state, labels)[0].get(label, {}).items():
+            carried = coefficient * weight
+            if target in out:
+                carried = out[target] + carried
+            out[target] = carried
+    return out
+
+
 @dataclass(frozen=True)
 class TestVerdict:
     equivalent: bool
@@ -364,8 +505,10 @@ def bounded_testing_equivalent(
 
     The default depth, one more than the larger action depth, makes the
     bounded search a complete decision procedure for acyclic processes.
-    Returns the first distinguishing test in enumeration order, if any.
-    With a budget, raises ValueError before enumerating more tests than it.
+    Returns the first distinguishing test in enumeration order, if any:
+    the verdict and the depth of that test come from `_differing_depth`,
+    and only the tests of that exact depth are enumerated.  With a budget,
+    raises ValueError, before any work, when there are more tests than it.
     """
     left.require_acyclic()
     right.require_acyclic()
@@ -385,10 +528,15 @@ def bounded_testing_equivalent(
     steps = _Compiler(EMPTY_ORDER)
     left_outcomes = _Outcomes(left, steps)
     right_outcomes = _Outcomes(right, steps)
-    # `grouped` hands out one object per distinct sum, so each pair of
-    # outcomes is compared once.
+    found = _differing_depth(left_outcomes, right_outcomes, depth)
+    if found is None:
+        return TestVerdict(True, depth)
+    # Tests come by exact depth and none shallower than `found` differs, so
+    # the first differing test of that depth is the first of the whole
+    # enumeration.  `grouped` hands out one object per distinct sum, so
+    # each pair of outcomes is compared once.
     differ: dict[tuple[int, int], bool] = {}
-    for test in _iter_tests(universes, depth):
+    for test in _exact_depth_tests(universes, 0, found, {}):
         out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
         key = (id(out_left), id(out_right))
         if key not in differ:
@@ -399,7 +547,7 @@ def bounded_testing_equivalent(
             return TestVerdict(
                 False, depth, test, left_outcomes.of(test), right_outcomes.of(test)
             )
-    return TestVerdict(True, depth)
+    raise AssertionError(f"no test of depth {found} differs")
 
 
 # --- witness synthesis -------------------------------------------------------

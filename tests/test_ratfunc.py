@@ -82,6 +82,43 @@ def test_evaluate_rejects_missing_and_nonpositive():
         f.evaluate({"a": 1, "b": 0})
 
 
+def _peval(poly, values):
+    """Reference evaluation of a polynomial term by term in Fractions."""
+    total = Fraction(0)
+    for mono, coeff in poly.items():
+        term = coeff
+        for name, exp in mono:
+            term *= values[name] ** exp
+        total += term
+    return total
+
+
+def test_integer_evaluation_matches_the_fraction_reference():
+    import random
+
+    from probproc.harness import GenConfig, random_ratfunc
+
+    rng = random.Random(2024)
+    cfg = GenConfig(alphabet_size=4, seed=2024)
+    checked = 0
+    for _ in range(300):
+        f = random_ratfunc(cfg, rng, depth=rng.randint(1, 4))
+        for _ in range(10):
+            point = {
+                name: Fraction(rng.randint(1, 60), rng.randint(1, 60)) for name in cfg.labels
+            }
+            expected = _peval(f.num, point) / _peval(f.den, point)
+            assert f.evaluate(point) == expected
+            checked += 1
+    assert checked == 3000
+    # Unused coordinates are checked but ignored; raw ints and strings convert.
+    assert (var("a") / (var("a") + var("b"))).evaluate({"a": 2, "b": "1/3", "c": 5}) == Fraction(6, 7)
+    with pytest.raises(ValueError, match="must be positive"):
+        var("a").evaluate({"a": 1, "c": -1})
+    with pytest.raises(ValueError, match=r"no value given for variable\(s\) \['b'\]"):
+        (var("a") * var("b")).evaluate({"a": 1})
+
+
 def test_pinned_rendering():
     h, t = var("h"), var("t")
     f = (h + scalar(2) * t) / (scalar(2) * (h + t))

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from probproc.fixtures import GAME_GUESSER, GAME_TOSSER
+from probproc import semantics, terms
 from probproc.harness import GenConfig, random_priority_order, random_term
 from probproc.parser import parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
@@ -200,6 +201,34 @@ def test_pinning_sync_sets_rebuilds_only_above_a_shared_parallel():
     assert isinstance(shared, _Shared)
     assert shared.left is left and shared.right is right
     assert shared.sync == frozenset({"b"})
+
+
+def test_pinning_a_chain_visits_each_node_once(monkeypatch):
+    """Each |[]| takes its operands' alphabets from the walk below it rather
+    than walking them again, so a chain of n compositions costs O(n) node
+    visits, not O(n^2).  A visit is a call of `children` (which every
+    generic traversal makes) or of `map_children`."""
+    chain = prefix("a0")
+    for i in range(1, 300):
+        chain = SharedPar(chain, prefix(f"a{i}", prefix(f"a{i - 1}")))
+    nodes = sum(1 for _ in subterms(chain))
+    visits = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal visits
+            visits += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(terms, "children", counted(terms.children))
+    monkeypatch.setattr(semantics, "map_children", counted(terms.map_children))
+    pinned = _pin_sync_sets(chain)
+    assert visits <= nodes
+    for i in reversed(range(1, 300)):
+        assert pinned.sync == frozenset({f"a{i - 1}"})
+        pinned = pinned.left
 
 
 def _naive_chain_warnings(parts):

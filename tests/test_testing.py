@@ -1,7 +1,9 @@
 """Testing semantics: outcomes, enumeration, bounded search, synthesis."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -14,15 +16,33 @@ from probproc.fixtures import (
     MIXED_FOLLOWUP_PROBE,
     MIXED_FOLLOWUP_SECOND,
 )
-from probproc.harness import GenConfig, equivalent_pair, random_priority_order, random_term
+from probproc.harness import (
+    GenConfig,
+    _budget_depth,
+    _random_term,
+    equivalent_pair,
+    random_priority_order,
+    random_term,
+)
 from probproc.parser import parse_term, parse_test
 from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import _Compiler, compile_term
-from probproc.terms import EMPTY_ORDER, alphabet, has_prob_choice, prefix, render, success
+from probproc.terms import (
+    EMPTY_ORDER,
+    ExternalChoice,
+    alphabet,
+    has_prob_choice,
+    prefix,
+    render,
+    subterms,
+    success,
+)
 from probproc.testing import (
     _Outcomes,
+    _differing_depth,
+    _exact_depth_tests,
     _iter_tests,
     count_tests,
     distinguishing_test,
@@ -465,3 +485,158 @@ def test_grouped_search_matches_canonical_outcomes():
             assert _searched(left, right, depth) == expected
             verdicts.append(expected[0])
     assert 20 < verdicts.count(True) < 60
+
+
+def _coincidence_pairs(cfg: GenConfig, n: int):
+    """Compiled pairs drawn the way the coincidence suite draws them:
+    equivalent pairs and independent random pairs alternately."""
+    rng = random.Random(cfg.seed)
+    for index in range(n):
+        sub = random.Random(rng.getrandbits(64))
+        order = random_priority_order(cfg, sub)
+        if index % 2 == 0:
+            pair = equivalent_pair(cfg, sub)
+        else:
+            pair = _random_term(cfg, sub, cfg.max_depth), _random_term(cfg, sub, cfg.max_depth)
+        yield tuple(compile_term(term, order) for term in pair)
+
+
+def _decided(left: Pts, right: Pts, depth: int):
+    steps = _Compiler(EMPTY_ORDER)
+    return _differing_depth(_Outcomes(left, steps), _Outcomes(right, steps), depth)
+
+
+def _first_enumerated_difference(left: Pts, right: Pts, depth: int):
+    """The first differing test over the whole enumeration up to the depth,
+    compared test by test from grouped outcomes, or None."""
+    steps = _Compiler(EMPTY_ORDER)
+    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
+    differ = {}
+    for test in _iter_tests(relevant_universes(left, right, depth), depth):
+        out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
+        key = (id(out_left), id(out_right))
+        if key not in differ:
+            differ[key] = out_left != out_right
+        if differ[key]:
+            return test
+    return None
+
+
+@pytest.mark.parametrize(
+    "cfg, n",
+    [(GenConfig(alphabet_size=2, max_depth=3, seed=20260809), 100), (GenConfig(seed=7), 40)],
+)
+def test_decider_agrees_with_enumeration_at_the_budget_depth(cfg, n):
+    """The functional decider gives the enumeration's verdict, its depth is
+    that of the first differing test, and the search finds that test."""
+    distinguished = 0
+    for left, right in _coincidence_pairs(cfg, n):
+        depth = _budget_depth(left, right)
+        first = _first_enumerated_difference(left, right, depth)
+        found = _decided(left, right, depth)
+        verdict = bounded_testing_equivalent(left, right, depth=depth)
+        if first is None:
+            assert found is None and verdict.equivalent
+            continue
+        distinguished += 1
+        assert found == term_action_depth(first)
+        assert verdict.test == first
+    assert n // 3 < distinguished < n - n // 3
+
+
+@pytest.mark.parametrize(
+    "cfg, cut",
+    [
+        (GenConfig(alphabet_size=2, max_depth=3, seed=20260809), 3),
+        (GenConfig(seed=7), 48),
+        (GenConfig(alphabet_size=3, max_depth=3, seed=5), 45),
+    ],
+)
+def test_decider_matches_ready_traces_at_the_complete_depth(cfg, cut):
+    """The paper's coincidence at full depth, also for the pairs whose
+    enumeration the coincidence suite's budget cuts short."""
+    shallower = equivalent = 0
+    for left, right in _coincidence_pairs(cfg, 100):
+        complete = max(left.action_depth, right.action_depth) + 1
+        shallower += _budget_depth(left, right) < complete
+        found = _decided(left, right, complete)
+        assert (found is None) == ready_trace_equivalent(left, right).equivalent
+        equivalent += found is None
+    assert shallower == cut
+    assert 30 < equivalent < 70
+
+
+def test_decider_handles_a_pair_with_astronomically_many_tests():
+    # 10004000600040001 tests up to depth 5, which `equiv` refuses to
+    # enumerate; the first differing test is d->a->b->w.
+    left = graph("a->b->c->d [] b->c [] c->d [] d->a")
+    right = graph("a->b->c->d [] b->c [] c->d [] d->a->b")
+    started = time.perf_counter()
+    assert _decided(left, right, 5) == 3
+    assert _decided(left, right, 2) is None
+    assert _decided(left, left, 5) is None
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize(
+    "left, right, depth, expected",
+    [
+        # Tests of depth 1 agree; a->b->w is the first that differs.
+        ("a->b->0", "a->c->0", 3, 2),
+        # Branch a differs at depth 2 and branch b at depth 3: the smallest
+        # counts, not the last one found.
+        ("a->c->0 [] b->d->e->0", "a->x->0 [] b->d->f->0", 4, 2),
+        # Below probabilistic roots every label set leads to the same maps.
+        # The pair (d->e, d->f) is met first below a->c with one step left,
+        # where it agrees, and then below b with two steps left.
+        ("p{1/2:a->c->d->e, 1/2:b->d->e}", "p{1/2:a->c->d->f, 1/2:b->d->f}", 3, 3),
+        # One state on one side meets an equal and an unequal partner.
+        ("p{1/2:a->c, 1/2:b->c}", "p{1/2:a->c, 1/2:b->d}", 3, 2),
+        ("p{1/2:a->c, 1/2:b->d}", "p{1/2:a->c, 1/2:b->c}", 3, 2),
+    ],
+)
+def test_decider_depths_on_small_pairs(left, right, depth, expected):
+    left, right = graph(left), graph(right)
+    assert _decided(left, right, depth) == expected
+    assert _decided(left, right, expected - 1) is None
+    verdict = bounded_testing_equivalent(left, right, depth=depth)
+    assert term_action_depth(verdict.test) == expected
+
+
+def _tests_without_memo(universes, level, depth):
+    """Every canonical test of exact depth, listed afresh at each call."""
+    if depth == 0:
+        return [success()]
+    if level >= len(universes) or not universes[level]:
+        return []
+    options = [
+        t for d in range(depth) for t in _tests_without_memo(universes, level + 1, d)
+    ]
+    depths = [term_action_depth(t) for t in options]
+    out = []
+    labels = sorted(universes[level])
+    for size in range(1, len(labels) + 1):
+        for chosen in combinations(labels, size):
+            for combo in product(range(len(options)), repeat=size):
+                if max(depths[i] for i in combo) == depth - 1:
+                    out.append(
+                        ExternalChoice(tuple(zip(chosen, (options[i] for i in combo))))
+                    )
+    return out
+
+
+def test_enumeration_shares_equal_subtests_across_levels():
+    ab, a = frozenset("ab"), frozenset("a")
+    for universes in ((ab, ab, ab), (ab, a, ab), (a, ab, frozenset(), ab)):
+        for depth in range(len(universes) + 1):
+            memo = {}
+            tests = _exact_depth_tests(universes, 0, depth, memo)
+            assert tests == _tests_without_memo(universes, 0, depth)
+    # Every level below the root reaches universes ({a, b},) within the
+    # remaining depth, so equal subtests at levels 1 and 2 are one object.
+    memo = {}
+    objects = {}
+    for test in _exact_depth_tests((ab, ab, ab), 0, 3, memo):
+        for node in subterms(test):
+            objects.setdefault(node, set()).add(id(node))
+    assert all(len(ids) == 1 for ids in objects.values())
