@@ -35,7 +35,7 @@ from .fixtures import (
     PREFIX_DISTRIB_RIGHT,
 )
 from .parser import parse_term
-from .pts import Pts, condition_view, root_view, view_menu_distribution
+from .pts import Pts
 from .ratfunc import RationalFn
 from .readytrace import ReadyTrace, UNDEFINED, ready_trace_equivalent, trace_probability
 from .semantics import compile_term
@@ -555,8 +555,10 @@ def check_probability_axioms(cfg: GenConfig, n_samples: int = 200) -> CheckRepor
         detail = {"sample_seed": sample_seed, "term": render(term)}
         problems: list[str] = []
 
-        def check_view(view, prefix_menus, prefix_actions):
-            dist = view_menu_distribution(pts, view)
+        table = pts.positions
+
+        def check_position(pos, prefix_menus, prefix_actions):
+            dist = table.distribution(pos)
             total = sum(dist.values(), Fraction(0))
             if total != 1:
                 problems.append(f"menu distribution sums to {total} after {prefix_actions}")
@@ -572,13 +574,13 @@ def check_probability_axioms(cfg: GenConfig, n_samples: int = 200) -> CheckRepor
                     )
                 if len(prefix_menus) + 1 < cfg.max_depth + 1:
                     for action in sorted(menu):
-                        check_view(
-                            condition_view(pts, view, menu, action),
+                        check_position(
+                            table.child(pos, menu, action),
                             prefix_menus + (menu,),
                             prefix_actions + (action,),
                         )
 
-        check_view(root_view(pts), (), ())
+        check_position(table.start(pts.root), (), ())
         if problems:
             detail["error"] = problems[:5]
         report.record(not problems, detail)

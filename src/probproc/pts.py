@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 OMEGA = "w"
@@ -142,20 +143,30 @@ class Pts:
     def action_depth(self) -> int:
         """Largest number of action edges on any path from the root."""
         self.require_acyclic()
-        memo: dict[int, int] = {}
+        depth: dict[int, int] = {}
+        stack = [self.root]
+        while stack:
+            state = stack[-1]
+            if state in depth:
+                stack.pop()
+                continue
+            actions = self._action_map[state].values()
+            weighted = [dst for _, dst in self._prob_map[state]]
+            pending = [dst for dst in (*actions, *weighted) if dst not in depth]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            depth[state] = max(
+                max((1 + depth[dst] for dst in actions), default=0),
+                max((depth[dst] for dst in weighted), default=0),
+            )
+        return depth[self.root]
 
-        def depth(state: int) -> int:
-            if state in memo:
-                return memo[state]
-            best = 0
-            for label, dst in self._action_map[state].items():
-                best = max(best, 1 + depth(dst))
-            for _, dst in self._prob_map[state]:
-                best = max(best, depth(dst))
-            memo[state] = best
-            return best
-
-        return depth(self.root)
+    @cached_property
+    def positions(self) -> Positions:
+        """The graph's position table, filled as positions are asked for."""
+        return Positions(self)
 
     def reachable(self, start: int | None = None) -> set[int]:
         start = self.root if start is None else start
@@ -239,102 +250,163 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
 #
 # A position is either an actual state or a distribution over
 # nondeterministic states produced by conditioning a probabilistic state on
-# an observed menu.  Distributions are kept as sorted tuples so positions
-# are hashable memo keys.
-
-View = tuple
+# an observed menu.  Each graph interns its positions in one table, built as
+# positions are first asked for and kept on the graph (`Pts.positions`).
 
 
 def format_menu(menu: Menu) -> str:
     return "{" + ",".join(sorted(menu)) + "}"
 
 
-def root_view(pts: Pts) -> View:
-    return ("s", pts.root)
+def _menu_key(menu: Menu):
+    """Observation order of menus: by size, then by sorted labels."""
+    return (len(menu), tuple(sorted(menu)))
 
 
-def _branches(pts: Pts, view: View) -> tuple[tuple[Fraction, int], ...]:
-    if view[0] == "d":
-        return tuple((weight, state) for state, weight in view[1])
-    return pts.prob_successors(view[1])
+class _Filled(dict):
+    """A dict that computes a missing value from its key, once."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
 
 
-def is_probabilistic(pts: Pts, view: View) -> bool:
-    return view[0] == "d" or pts.kind(view[1]) == "p"
+class Positions:
+    """The positions of one graph, interned to ints.
 
+    A position's key is ("s", state) for an actual state, or for a
+    distribution the tuple of its (weight, state) pairs sorted by state,
+    with integer weights proportional to the probabilities and reduced by
+    their gcd, so equal distributions get one id.  Edge weights are scaled
+    to integers once, by the lcm of their denominators.
 
-def view_menu_distribution(pts: Pts, view: View) -> dict[Menu, Fraction]:
-    """Support-only map of initially observable menus; values sum to one."""
-    if not is_probabilistic(pts, view):
-        return {pts.menu(view[1]): Fraction(1)}
-    out: dict[Menu, Fraction] = {}
-    for weight, target in _branches(pts, view):
-        menu = pts.menu(target)
-        out[menu] = out.get(menu, Fraction(0)) + weight
-    return out
-
-
-def condition_view(pts: Pts, view: View, menu: Menu, action: str) -> View:
-    """The position after the menu was observed and the action performed.
-
-    From a nondeterministic state this is the action successor.  From a
-    probabilistic position the branches whose menu matches are kept,
-    renormalized by the menu's total weight, stepped through the action, and
-    flattened by one probabilistic level; branches that land on the same
-    state are merged by adding their weights.
+    Per id the table keeps the position's branches (weight, nondeterministic
+    state), the same grouped by the states' menus, its menu -> weight map,
+    the total weight, and its (menu, action) steps with menus in
+    observation order and each menu's actions sorted; a menu's probability
+    is its weight over the total.  `child` conditions each (id, menu,
+    action) once.  The table holds the graph's maps but not the graph,
+    which holds the table.
     """
-    menu = frozenset(menu)
-    if action not in menu:
-        raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
-    if not is_probabilistic(pts, view):
-        state = view[1]
-        if pts.menu(state) != menu:
-            raise MenuNotOffered(
-                f"state {state} offers {format_menu(pts.menu(state))}, "
-                f"not {format_menu(menu)}"
-            )
-        return ("s", pts.action_successor(state, action))
-    matching = [
-        (weight, target)
-        for weight, target in _branches(pts, view)
-        if pts.menu(target) == menu
-    ]
-    if not matching:
-        raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
-    total = sum(weight for weight, _ in matching)
-    acc: dict[int, Fraction] = {}
-    for weight, target in matching:
-        after = pts.action_successor(target, action)
-        if pts.kind(after) == "n":
-            acc[after] = acc.get(after, Fraction(0)) + weight / total
-        else:
-            for inner_weight, inner_target in pts.prob_successors(after):
-                acc[inner_target] = (
-                    acc.get(inner_target, Fraction(0)) + weight * inner_weight / total
+
+    def __init__(self, pts: Pts):
+        self._kinds = pts.kinds
+        self._action_map = pts._action_map
+        self.scale = lcm(*(weight.denominator for _, weight, _ in pts.prob_edges))
+        # The fill functions do not refer to the table, so no cycle keeps
+        # it alive after its graph is gone.
+        self._menu_of = _Filled(partial(_state_menu, pts.kinds, pts._action_map, {}))
+        self._scaled = _Filled(partial(_scaled_edges, pts._prob_map, self.scale))
+        self.keys: list[tuple] = []
+        self.branches: list[tuple[tuple[int, int], ...]] = []
+        self._groups: list[dict[Menu, list[tuple[int, int]]]] = []
+        self.menus: list[dict[Menu, int]] = []
+        self.totals: list[int] = []
+        self.steps: list[tuple[tuple[Menu, str], ...]] = []
+        self._ids: dict[tuple, int] = {}
+        self._children: dict[tuple[int, Menu, str], int] = {}
+
+    def start(self, state: int) -> int:
+        """The id of the position at an actual state."""
+        key = ("s", state)
+        pid = self._ids.get(key)
+        if pid is None:
+            if self._kinds[state] == "p":
+                if not self._scaled[state]:
+                    raise ValueError(
+                        f"state {state} is probabilistic but has no outgoing edges"
+                    )
+                pid = self._intern(key, self._scaled[state])
+            else:
+                pid = self._intern(key, ((1, state),))
+        return pid
+
+    def child(self, pid: int, menu: Menu, action: str) -> int:
+        """The position after the menu was observed and the action performed."""
+        key = (pid, menu, action)
+        out = self._children.get(key)
+        if out is None:
+            out = self._children[key] = self._condition(pid, menu, action)
+        return out
+
+    def distribution(self, pid: int) -> dict[Menu, Fraction]:
+        """Support-only map of initially observable menus; values sum to one."""
+        total = self.totals[pid]
+        return {menu: Fraction(weight, total) for menu, weight in self.menus[pid].items()}
+
+    def _condition(self, pid: int, menu: Menu, action: str) -> int:
+        """From a nondeterministic state, the action successor.  From a
+        probabilistic position, the branches whose menu matches, stepped
+        through the action and flattened by one probabilistic level;
+        branches that land on the same state add their weights."""
+        if action not in menu:
+            raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
+        kinds, action_map, menu_of = self._kinds, self._action_map, self._menu_of
+        key = self.keys[pid]
+        if key[0] == "s" and kinds[key[1]] == "n":
+            state = key[1]
+            if menu_of[state] != menu:
+                raise MenuNotOffered(
+                    f"state {state} offers {format_menu(menu_of[state])}, "
+                    f"not {format_menu(menu)}"
                 )
-    return ("d", tuple(sorted(acc.items())))
+            return self.start(action_map[state][action])
+        acc: dict[int, int] = {}
+        for weight, target in self._groups[pid].get(menu, ()):
+            after = action_map[target][action]
+            if kinds[after] == "n":
+                acc[after] = acc.get(after, 0) + weight * self.scale
+            else:
+                for inner, settled in self._scaled[after]:
+                    acc[settled] = acc.get(settled, 0) + weight * inner
+        if not acc:
+            raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
+        if len(acc) == 1:
+            key = ((1, *acc),)
+        else:
+            divisor = gcd(*acc.values())
+            key = tuple((acc[settled] // divisor, settled) for settled in sorted(acc))
+        out = self._ids.get(key)
+        if out is None:
+            out = self._intern(key, key)
+        return out
+
+    def _intern(self, key: tuple, branches: tuple[tuple[int, int], ...]) -> int:
+        menu_of = self._menu_of
+        groups: dict[Menu, list[tuple[int, int]]] = {}
+        for branch in branches:
+            groups.setdefault(menu_of[branch[1]], []).append(branch)
+        menus = {menu: sum(weight for weight, _ in group) for menu, group in groups.items()}
+        ordered = sorted(menus, key=_menu_key) if len(menus) > 1 else menus
+        pid = self._ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.branches.append(branches)
+        self._groups.append(groups)
+        self.menus.append(menus)
+        self.totals.append(sum(menus.values()))
+        self.steps.append(tuple((menu, action) for menu in ordered for action in sorted(menu)))
+        return pid
 
 
-def view_to_pts(pts: Pts, view: View) -> Pts:
-    """Materialize a position as a graph of its own."""
-    if view[0] == "s":
-        return Pts(
-            alphabet=pts.alphabet,
-            kinds=pts.kinds,
-            action_edges=pts.action_edges,
-            prob_edges=pts.prob_edges,
-            root=view[1],
-        )
-    fresh = max(pts.kinds) + 1
-    kinds = dict(pts.kinds)
-    kinds[fresh] = "p"
-    return Pts(
-        alphabet=pts.alphabet,
-        kinds=kinds,
-        action_edges=pts.action_edges,
-        prob_edges=pts.prob_edges
-        + tuple((fresh, weight, target) for target, weight in view[1]),
-        root=fresh,
+def _state_menu(kinds, action_map, menus: dict[Menu, Menu], state: int) -> Menu:
+    """The state's menu, one object per distinct menu."""
+    if kinds[state] != "n":
+        raise ValueError(f"state {state} is probabilistic and offers no menu")
+    menu = frozenset(action_map[state])
+    return menus.setdefault(menu, menu)
+
+
+def _scaled_edges(prob_map, scale: int, state: int) -> tuple[tuple[int, int], ...]:
+    """The weighted edges of a probabilistic state, scaled to integers."""
+    return tuple(
+        (weight.numerator * (scale // weight.denominator), target)
+        for weight, target in prob_map[state]
     )
 
 
@@ -343,10 +415,31 @@ def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
 
     For a nondeterministic state the result is the graph re-rooted at the
     action successor.  For a probabilistic state it gets a fresh root whose
-    weighted edges are the conditioned distribution of `condition_view`.
+    weighted edges are the conditioned distribution.
     """
     pts.require_acyclic()
-    return view_to_pts(pts, condition_view(pts, ("s", state), menu, action))
+    table = pts.positions
+    key = table.keys[table.child(table.start(state), frozenset(menu), action)]
+    if key[0] == "s":
+        return Pts(
+            alphabet=pts.alphabet,
+            kinds=pts.kinds,
+            action_edges=pts.action_edges,
+            prob_edges=pts.prob_edges,
+            root=key[1],
+        )
+    fresh = max(pts.kinds) + 1
+    kinds = dict(pts.kinds)
+    kinds[fresh] = "p"
+    total = sum(weight for weight, _ in key)
+    return Pts(
+        alphabet=pts.alphabet,
+        kinds=kinds,
+        action_edges=pts.action_edges,
+        prob_edges=pts.prob_edges
+        + tuple((fresh, Fraction(weight, total), target) for weight, target in key),
+        root=fresh,
+    )
 
 
 def tree_signature(pts: Pts, state: int | None = None):
@@ -360,28 +453,35 @@ def tree_signature(pts: Pts, state: int | None = None):
     pts.require_acyclic()
     state = pts.root if state is None else state
     memo: dict[int, object] = {}
-
-    def sig(node: int):
+    stack = [state]
+    while stack:
+        node = stack[-1]
         if node in memo:
-            return memo[node]
+            stack.pop()
+            continue
         if pts.kinds[node] == "n":
-            out = (
-                "n",
-                tuple(
-                    (label, sig(dst))
-                    for label, dst in sorted(pts._action_map[node].items())
-                ),
-            )
+            children = sorted(pts._action_map[node].items())
         else:
-            children = sorted(
-                ((weight, sig(dst)) for weight, dst in pts.prob_successors(node)),
-                key=lambda pair: (pair[0], repr(pair[1])),
-            )
-            out = ("p", tuple(children))
-        memo[node] = out
-        return out
+            children = pts.prob_successors(node)
+        pending = [dst for _, dst in children if dst not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if pts.kinds[node] == "n":
+            memo[node] = ("n", tuple((label, memo[dst]) for label, dst in children))
+        else:
+            memo[node] = ("p", _sorted_by_weight([(w, memo[dst]) for w, dst in children]))
+    return memo[state]
 
-    return sig(state)
+
+def _sorted_by_weight(children: list[tuple[Fraction, object]]) -> tuple:
+    """Weighted signatures sorted by weight, then by their repr; the repr is
+    taken only when two of them share a weight."""
+    weights = [weight for weight, _ in children]
+    if len(set(weights)) == len(weights):
+        return tuple(sorted(children, key=lambda pair: pair[0]))
+    return tuple(sorted(children, key=lambda pair: (pair[0], repr(pair[1]))))
 
 
 def to_json(pts: Pts) -> str:

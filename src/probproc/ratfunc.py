@@ -117,7 +117,8 @@ def _mono_divide(mono: Monomial, divisor: Monomial) -> Monomial:
 class RationalFn:
     """A quotient of two exactly represented multivariate polynomials.
 
-    Values are immutable; all operators return fresh normalized instances.
+    Values are immutable; all operators return normalized instances, an
+    operand itself when the other is zero in a sum or one in a product.
     Equality (==) is semantic equality as functions on positive arguments.
     """
 
@@ -166,6 +167,11 @@ class RationalFn:
     def __mul__(self, other: RationalFn) -> RationalFn:
         if not self.num or not other.num:
             return RationalFn.zero()
+        # A normalized function equal to one has num == den == 1.
+        if other.num == other.den:
+            return self
+        if self.num == self.den:
+            return other
         return RationalFn(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __truediv__(self, other: RationalFn) -> RationalFn:

@@ -15,7 +15,9 @@ Two probability notions are provided, both exact:
 
 Both are undefined (never zero) when the history itself has probability
 zero.  Equivalence of two processes is equality of all these observation
-probabilities, decided recursively with memoization over state pairs.
+probabilities, decided over pairs of positions with memoization.  Positions
+are interned per graph with integer weights (`pts.Positions`); fractions
+are built only for the probabilities returned.
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .pts import (
-    Menu,
-    Pts,
-    View,
-    condition_view,
-    format_menu,
-    root_view,
-    view_menu_distribution,
-)
+from .pts import Menu, Positions, Pts, format_menu
+from .pts import _menu_key as menu_key
 
 
 class _UndefinedType:
@@ -55,10 +50,6 @@ class _UndefinedType:
 UNDEFINED = _UndefinedType()
 
 Probability = Union[Fraction, _UndefinedType]
-
-
-def menu_key(menu: Menu):
-    return (len(menu), tuple(sorted(menu)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +121,8 @@ def parse_trace(text: str) -> ReadyTrace:
 def menu_distribution(pts: Pts, state: int | None = None) -> dict[Menu, Fraction]:
     """Probability of each initially observable menu (support only)."""
     pts.require_acyclic()
-    view = ("s", pts.root if state is None else state)
-    return view_menu_distribution(pts, view)
+    table = pts.positions
+    return table.distribution(table.start(pts.root if state is None else state))
 
 
 def trace_probability(pts: Pts, trace: ReadyTrace, state: int | None = None) -> Probability:
@@ -141,19 +132,20 @@ def trace_probability(pts: Pts, trace: ReadyTrace, state: int | None = None) -> 
     a zero for the final menu alone is a defined zero.
     """
     pts.require_acyclic()
-    view: View = ("s", pts.root if state is None else state)
-    value = Fraction(1)
+    table = pts.positions
+    pos = table.start(pts.root if state is None else state)
+    num = den = 1
     last = len(trace.menus) - 1
     for i, menu in enumerate(trace.menus):
-        dist = view_menu_distribution(pts, view)
-        p = dist.get(menu, Fraction(0))
-        value *= p
+        weight = table.menus[pos].get(menu, 0)
+        if weight == 0:
+            return Fraction(0) if i == last else UNDEFINED
+        num *= weight
+        den *= table.totals[pos]
         if i == last:
             break
-        if p == 0:
-            return UNDEFINED
-        view = condition_view(pts, view, menu, trace.actions[i])
-    return value
+        pos = table.child(pos, menu, trace.actions[i])
+    return Fraction(num, den)
 
 
 def conditional_menu_probability(
@@ -163,12 +155,13 @@ def conditional_menu_probability(
     if len(trace) < 2:
         raise ValueError("conditioning needs a trace with at least two menus")
     pts.require_acyclic()
-    view: View = ("s", pts.root if state is None else state)
+    table = pts.positions
+    pos = table.start(pts.root if state is None else state)
     for menu, action in zip(trace.menus, trace.actions):
-        if view_menu_distribution(pts, view).get(menu, Fraction(0)) == 0:
+        if menu not in table.menus[pos]:
             return UNDEFINED
-        view = condition_view(pts, view, menu, action)
-    return view_menu_distribution(pts, view).get(trace.menus[-1], Fraction(0))
+        pos = table.child(pos, menu, action)
+    return Fraction(table.menus[pos].get(trace.menus[-1], 0), table.totals[pos])
 
 
 def iter_ready_traces(
@@ -184,24 +177,24 @@ def iter_ready_traces(
         max_len = pts.action_depth + 1
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    start: View = ("s", pts.root if state is None else state)
+    table = pts.positions
 
-    def walk(view, menus, actions, probability):
-        dist = view_menu_distribution(pts, view)
-        for menu in sorted(dist, key=menu_key):
-            p = probability * dist[menu]
+    def walk(pos, menus, actions, num, den):
+        weights, total = table.menus[pos], table.totals[pos]
+        for menu in sorted(weights, key=menu_key):
             trace = ReadyTrace(menus + (menu,), actions)
-            yield trace, p
+            yield trace, Fraction(num * weights[menu], den * total)
             if len(trace) < max_len:
                 for action in sorted(menu):
                     yield from walk(
-                        condition_view(pts, view, menu, action),
-                        menus + (menu,),
+                        table.child(pos, menu, action),
+                        trace.menus,
                         actions + (action,),
-                        p,
+                        num * weights[menu],
+                        den * total,
                     )
 
-    yield from walk(start, (), (), Fraction(1))
+    yield from walk(table.start(pts.root if state is None else state), (), (), 1, 1)
 
 
 # --- equivalence -----------------------------------------------------------
@@ -223,65 +216,98 @@ class TraceVerdict:
         )
 
 
-_Witness = tuple  # (menus, actions, left probability, right probability)
+def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dict):
+    """The first observation on which a pair of positions, ids in the two
+    position tables, differs; None when they are equivalent.
 
-
-def views_differ(
-    left: Pts, lview: View, right: Pts, rview: View, memo: dict | None = None
-) -> _Witness | None:
-    """Recursive equivalence of two positions; returns a minimal-prefix witness.
-
-    The menu distributions must agree, and after every observable menu/action
-    step the positions must stay equivalent.  The returned witness carries
-    whole-trace probabilities for both sides.
+    The menu distributions must agree, and after every observable
+    menu/action step the positions must stay equivalent.  The result is
+    memoized per pair, as (menu,) when the menu's probabilities differ, or
+    (menu, action, child pair) when the pair agrees on menus and the child
+    after the menu and action differs; the first in menu then action
+    order.  Walks with an explicit stack, children in that order, so the
+    memo holds what the plain recursion would give.
     """
-    if memo is None:
-        memo = {}
-    key = (lview, rview)
-    if key in memo:
-        return memo[key]
-    ldist = view_menu_distribution(left, lview)
-    rdist = view_menu_distribution(right, rview)
-    result: _Witness | None = None
-    if ldist != rdist:
-        for menu in sorted(set(ldist) | set(rdist), key=menu_key):
-            lp = ldist.get(menu, Fraction(0))
-            rp = rdist.get(menu, Fraction(0))
-            if lp != rp:
-                result = ((menu,), (), lp, rp)
+    if start in memo:
+        return memo[start]
+    # Frames [pair, remaining steps, step being searched]; the graphs are
+    # acyclic, so no pair is on the stack twice.
+    stack = [[start, None, None]]
+    while stack:
+        frame = stack[-1]
+        pair, steps, searched = frame
+        if searched is not None:
+            if memo[searched[2]] is not None:
+                memo[pair] = searched
+                stack.pop()
+                continue
+        elif steps is None:
+            differing = _differing_menus(lt, pair[0], rt, pair[1])
+            if differing:
+                memo[pair] = (differing[0],)
+                stack.pop()
+                continue
+            steps = frame[1] = iter(lt.steps[pair[0]])
+        for menu, action in steps:
+            child = (lt.child(pair[0], menu, action), rt.child(pair[1], menu, action))
+            if child not in memo:
+                frame[2] = (menu, action, child)
+                stack.append([child, None, None])
                 break
-    else:
-        for menu in sorted(ldist, key=menu_key):
-            for action in sorted(menu):
-                sub = views_differ(
-                    left,
-                    condition_view(left, lview, menu, action),
-                    right,
-                    condition_view(right, rview, menu, action),
-                    memo,
-                )
-                if sub is not None:
-                    menus, actions, lp, rp = sub
-                    p = ldist[menu]
-                    result = ((menu,) + menus, (action,) + actions, p * lp, p * rp)
-                    break
-            if result is not None:
+            if memo[child] is not None:
+                memo[pair] = (menu, action, child)
+                stack.pop()
                 break
-    memo[key] = result
-    return result
+        else:
+            memo[pair] = None
+            stack.pop()
+    return memo[start]
+
+
+def _differing_menus(lt: Positions, lpos: int, rt: Positions, rpos: int) -> list[Menu]:
+    """The menus observed with different probabilities from the two
+    positions, in observation order; weights compared across totals."""
+    lmenus, rmenus = lt.menus[lpos], rt.menus[rpos]
+    ltotal, rtotal = lt.totals[lpos], rt.totals[rpos]
+    if lmenus.keys() == rmenus.keys() and all(
+        weight * rtotal == rmenus[menu] * ltotal for menu, weight in lmenus.items()
+    ):
+        return []
+    return [
+        menu
+        for menu in sorted(lmenus.keys() | rmenus.keys(), key=menu_key)
+        if lmenus.get(menu, 0) * rtotal != rmenus.get(menu, 0) * ltotal
+    ]
 
 
 def ready_trace_equivalent(left: Pts, right: Pts) -> TraceVerdict:
-    """Decide observational equivalence; witnesses carry both probabilities."""
+    """Decide observational equivalence; witnesses carry both probabilities,
+    each the product of the menu probabilities along the trace."""
     left.require_acyclic()
     right.require_acyclic()
-    witness = views_differ(left, root_view(left), right, root_view(right))
-    if witness is None:
+    lt, rt = left.positions, right.positions
+    memo: dict = {}
+    pair = (lt.start(left.root), rt.start(right.root))
+    if views_differ(lt, rt, pair, memo) is None:
         return TraceVerdict(equivalent=True)
-    menus, actions, lp, rp = witness
+    menus: list[Menu] = []
+    actions: list[str] = []
+    lnum = lden = rnum = rden = 1
+    while True:
+        step = memo[pair]
+        menu = step[0]
+        lnum *= lt.menus[pair[0]].get(menu, 0)
+        lden *= lt.totals[pair[0]]
+        rnum *= rt.menus[pair[1]].get(menu, 0)
+        rden *= rt.totals[pair[1]]
+        menus.append(menu)
+        if len(step) == 1:
+            break
+        actions.append(step[1])
+        pair = step[2]
     return TraceVerdict(
         equivalent=False,
-        trace=ReadyTrace(menus, actions),
-        left_probability=lp,
-        right_probability=rp,
+        trace=ReadyTrace(tuple(menus), tuple(actions)),
+        left_probability=Fraction(lnum, lden),
+        right_probability=Fraction(rnum, rden),
     )

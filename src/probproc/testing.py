@@ -24,19 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from typing import Iterator
 
-from .pts import (
-    OMEGA,
-    Pts,
-    View,
-    condition_view,
-    root_view,
-    view_menu_distribution,
-    view_to_pts,
-)
+from .pts import OMEGA, Pts
 from .ratfunc import RationalFn
-from .readytrace import menu_key, views_differ
+from .readytrace import _differing_menus, views_differ
 from .semantics import _Compiler
 from .terms import EMPTY_ORDER, ExternalChoice, Term, success
 
@@ -71,8 +65,6 @@ class _Outcomes:
         self.process = process
         self.steps = steps
         self._memo: dict[tuple[int, object], RationalFn] = {}
-        self._scalars: dict[Fraction, RationalFn] = {}
-        self._shares: dict[tuple[str, ...], tuple[RationalFn, ...]] = {}
         self._weights: dict[int, dict[int, Fraction]] = {}
         self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], Fraction]] = {}
         self._parts: dict[tuple, RationalFn] = {}
@@ -141,8 +133,8 @@ class _Outcomes:
                 if not common:
                     continue
                 total += weight
-                scaled = self._scalar(weight)
-                for label, share in zip(common, self._share(common)):
+                scaled = _scalar(weight)
+                for label, share in zip(common, _share(common)):
                     successors = step.setdefault(label, {})
                     target = process.action_successor(settled, label)
                     coefficient = scaled * share
@@ -171,22 +163,11 @@ class _Outcomes:
                     out[settled] = out.get(settled, 0) + weight
         return out
 
-    def _scalar(self, weight: Fraction) -> RationalFn:
-        out = self._scalars.get(weight)
-        if out is None:
-            out = self._scalars[weight] = RationalFn.scalar(weight)
-        return out
-
-    def _share(self, labels: tuple[str, ...]) -> tuple[RationalFn, ...]:
-        """var(a) / sum(labels) for each label a, built once per label set."""
-        out = self._shares.get(labels)
-        if out is None:
-            offered = _ZERO
-            for label in labels:
-                offered = offered + RationalFn.var(label)
-            out = self._shares[labels] = tuple(
-                RationalFn.var(label) / offered for label in labels
-            )
+    def mixed(self, weights: list[tuple[int, int]], test) -> RationalFn:
+        """The sum of weight * outcome(state, test) over the weighted states."""
+        out = _ZERO
+        for weight, state in weights:
+            out = out + _scalar(weight) * self._at(state, test)
         return out
 
     def _at(self, s: int, t) -> RationalFn:
@@ -202,18 +183,30 @@ class _Outcomes:
         out = _ZERO
         if process.kind(s) == "p":
             for weight, target in process.prob_successors(s):
-                out = out + self._scalar(weight) * self._at(target, t)
+                out = out + _scalar(weight) * self._at(target, t)
         elif weighted:
             for weight, target in weighted:
-                out = out + self._scalar(weight) * self._at(s, target)
+                out = out + _scalar(weight) * self._at(s, target)
         else:
             common = tuple(sorted(process.menu(s) & actions.keys()))
-            for label, share in zip(common, self._share(common)):
+            for label, share in zip(common, _share(common)):
                 out = out + share * self._at(
                     process.action_successor(s, label), actions[label]
                 )
         self._memo[key] = out
         return out
+
+
+_scalar = lru_cache(maxsize=1024)(RationalFn.scalar)
+
+
+@lru_cache(maxsize=1024)
+def _share(labels: tuple[str, ...]) -> tuple[RationalFn, ...]:
+    """var(a) / sum(labels) for each label a, built once per label set."""
+    offered = _ZERO
+    for label in labels:
+        offered = offered + RationalFn.var(label)
+    return tuple(RationalFn.var(label) / offered for label in labels)
 
 
 def _shape(f: RationalFn) -> tuple:
@@ -255,49 +248,55 @@ def _exact_depth_tests(
     depth: int,
     memo: dict,
 ) -> list[Term]:
-    """All canonical tests of exact action depth `depth`, whose actions at
-    each nesting level come from the corresponding universe; deterministic
-    order (label-set size, labels, then branch combinations).
+    """The list of `_iter_exact_depth_tests`, memoized.
 
     The tests depend only on the universes they can reach, so the memo is
     keyed by those: equal subtests at different levels are one object.
     """
-    span = universes[level : level + depth]
-    key = (span, depth)
-    if key in memo:
-        return memo[key]
-    if depth == 0:
-        memo[key] = [success()]
-        return memo[key]
-    out: list[Term] = []
-    if span and span[0]:
-        allowed = sorted(span[0])
-        options: list[tuple[int, Term]] = []
-        for d in range(depth):
-            options.extend(
-                (d, t) for t in _exact_depth_tests(universes, level + 1, d, memo)
-            )
-        for size in range(1, len(allowed) + 1):
-            for labels in combinations(allowed, size):
-                for combo in product(options, repeat=size):
-                    if max(d for d, _ in combo) != depth - 1:
-                        continue
-                    out.append(
-                        ExternalChoice(
-                            tuple(
-                                (label, target)
-                                for label, (_, target) in zip(labels, combo)
-                            )
-                        )
-                    )
-    memo[key] = out
+    key = (universes[level : level + depth], depth)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = list(_iter_exact_depth_tests(universes, level, depth, memo))
     return out
+
+
+def _iter_exact_depth_tests(
+    universes: tuple[frozenset[str], ...],
+    level: int,
+    depth: int,
+    memo: dict,
+) -> Iterator[Term]:
+    """All canonical tests of exact action depth `depth`, whose actions at
+    each nesting level come from the corresponding universe; deterministic
+    order (label-set size, labels, then branch combinations).
+
+    The tests are generated as they are asked for; the subtests one level
+    down come from the memoized lists of `_exact_depth_tests`.
+    """
+    if depth == 0:
+        yield success()
+        return
+    span = universes[level : level + depth]
+    if not (span and span[0]):
+        return
+    allowed = sorted(span[0])
+    options: list[tuple[int, Term]] = []
+    for d in range(depth):
+        options.extend((d, t) for t in _exact_depth_tests(universes, level + 1, d, memo))
+    for size in range(1, len(allowed) + 1):
+        for labels in combinations(allowed, size):
+            for combo in product(options, repeat=size):
+                if max(d for d, _ in combo) != depth - 1:
+                    continue
+                yield ExternalChoice(
+                    tuple((label, target) for label, (_, target) in zip(labels, combo))
+                )
 
 
 def _iter_tests(universes: tuple[frozenset[str], ...], max_depth: int):
     memo: dict = {}
     for depth in range(max_depth + 1):
-        yield from _exact_depth_tests(universes, 0, depth, memo)
+        yield from _iter_exact_depth_tests(universes, 0, depth, memo)
 
 
 def iter_tests(alphabet, max_depth: int):
@@ -459,7 +458,7 @@ def _blocked(coefficients: dict, outcomes: _Outcomes, labels: tuple[str, ...]) -
         blocked = 1 - outcomes.unit_step(state, labels)[1]
         if blocked:
             if blocked != 1:
-                coefficient = coefficient * outcomes._scalar(blocked)
+                coefficient = coefficient * _scalar(blocked)
             out = out + coefficient
     return out
 
@@ -536,7 +535,7 @@ def bounded_testing_equivalent(
     # enumeration.  `grouped` hands out one object per distinct sum, so
     # each pair of outcomes is compared once.
     differ: dict[tuple[int, int], bool] = {}
-    for test in _exact_depth_tests(universes, 0, found, {}):
+    for test in _iter_exact_depth_tests(universes, 0, found, {}):
         out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
         key = (id(out_left), id(out_right))
         if key not in differ:
@@ -569,33 +568,31 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
     left.require_acyclic()
     right.require_acyclic()
     memo: dict = {}
-    if views_differ(left, root_view(left), right, root_view(right), memo) is None:
+    start = (left.positions.start(left.root), right.positions.start(right.root))
+    if views_differ(left.positions, right.positions, start, memo) is None:
         return None
     alpha = frozenset(left.alphabet | right.alphabet)
-    return _synthesize(left, root_view(left), right, root_view(right), alpha, memo)
+    steps = _Compiler(EMPTY_ORDER)
+    return _synthesize(_Outcomes(left, steps), _Outcomes(right, steps), start, alpha, memo)
 
 
 def _synthesize(
-    left: Pts, lview: View, right: Pts, rview: View, alpha: frozenset[str], memo: dict
+    left: _Outcomes, right: _Outcomes, pair: tuple[int, int], alpha: frozenset[str], memo: dict
 ) -> Term:
-    ldist = view_menu_distribution(left, lview)
-    rdist = view_menu_distribution(right, rview)
-    steps = _Compiler(EMPTY_ORDER)
-    left_here = _Outcomes(view_to_pts(left, lview), steps)
-    right_here = _Outcomes(view_to_pts(right, rview), steps)
+    """A test telling apart a pair of inequivalent positions.  A candidate's
+    outcome at a position is the sum of weight * outcome(state) over its
+    branches, divided by the total; the two sides are compared with each
+    sum scaled by the other side's total instead."""
+    lt, rt = left.process.positions, right.process.positions
+    lpos, rpos = pair
+    lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.branches[lpos]]
+    rweights = [(weight * lt.totals[lpos], state) for weight, state in rt.branches[rpos]]
 
     def distinguishes(candidate: Term) -> bool:
-        return left_here.of(candidate) != right_here.of(candidate)
+        return left.mixed(lweights, candidate) != right.mixed(rweights, candidate)
 
-    if ldist != rdist:
-        differing = sorted(
-            (
-                menu
-                for menu in set(ldist) | set(rdist)
-                if ldist.get(menu, Fraction(0)) != rdist.get(menu, Fraction(0))
-            ),
-            key=menu_key,
-        )
+    differing = _differing_menus(lt, lpos, rt, rpos)
+    if differing:
         for menu in differing:
             outside = sorted(alpha - menu)
             if not outside:
@@ -605,23 +602,22 @@ def _synthesize(
                 return candidate
         raise AssertionError("differing menu distributions admit no probe test")
 
-    for menu in sorted(ldist, key=menu_key):
-        for action in sorted(menu):
-            lnext = condition_view(left, lview, menu, action)
-            rnext = condition_view(right, rview, menu, action)
-            if views_differ(left, lnext, right, rnext, memo) is None:
-                continue
-            deeper = _synthesize(left, lnext, right, rnext, alpha, memo)
-            probes = sorted(set().union(*ldist) - menu)
-            for size in range(len(probes) + 1):
-                for extra in combinations(probes, size):
-                    branches = [(action, deeper)]
-                    branches.extend((b, success()) for b in extra)
-                    candidate = ExternalChoice(
-                        tuple(sorted(branches, key=lambda br: br[0]))
-                    )
-                    if distinguishes(candidate):
-                        return candidate
+    offered = set().union(*lt.menus[lpos])
+    for menu, action in lt.steps[lpos]:
+        child = (lt.child(lpos, menu, action), rt.child(rpos, menu, action))
+        if views_differ(lt, rt, child, memo) is None:
+            continue
+        deeper = _synthesize(left, right, child, alpha, memo)
+        probes = sorted(offered - menu)
+        for size in range(len(probes) + 1):
+            for extra in combinations(probes, size):
+                branches = [(action, deeper)]
+                branches.extend((b, success()) for b in extra)
+                candidate = ExternalChoice(
+                    tuple(sorted(branches, key=lambda br: br[0]))
+                )
+                if distinguishes(candidate):
+                    return candidate
     raise AssertionError("inequivalent positions admit no distinguishing test")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probproc.ratfunc import RationalFn, format_ratfunc, parse_ratfunc
+from probproc.ratfunc import RationalFn, _pmul, format_ratfunc, parse_ratfunc
 
 var = RationalFn.var
 scalar = RationalFn.scalar
@@ -179,6 +179,18 @@ def test_mul_distributes_over_add(f, g, h):
     # Unreduced fractions differ structurally by a denominator factor here,
     # so distributivity is asserted with the module's semantic equality.
     assert f * (g + h) == f * g + f * h
+
+
+@given(ratfuncs(), ratfuncs())
+@settings(max_examples=100, deadline=None)
+def test_product_with_one_returns_the_other_factor(f, g):
+    # The shortcut gives what the full product normalizes to.
+    one = g / g if not g.is_zero() else RationalFn.one()
+    if not f.is_zero():
+        assert f * one is f
+    full = RationalFn(_pmul(f.num, one.num), _pmul(f.den, one.den))
+    assert structurally_equal(f * one, full)
+    assert structurally_equal(one * f, full)
 
 
 @given(ratfuncs())

@@ -578,6 +578,18 @@ def test_decider_handles_a_pair_with_astronomically_many_tests():
     assert time.perf_counter() - started < 1
 
 
+def test_first_differing_test_comes_before_the_rest_of_its_depth_is_listed():
+    # Depth 3 holds 153,566,715,855 tests; the first differing one follows
+    # three blocks of 609, so it is found only if they are generated lazily.
+    left = graph("a->b->c->d [] b->c [] c->d [] d->a")
+    right = graph("a->b->c->d [] b->c [] c->d [] d->a->b")
+    started = time.perf_counter()
+    verdict = bounded_testing_equivalent(left, right)
+    assert time.perf_counter() - started < 1
+    assert not verdict.equivalent
+    assert verdict.test == parse_test("d->a->b->w")
+
+
 @pytest.mark.parametrize(
     "left, right, depth, expected",
     [
