@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .pts import OMEGA
 from .terms import (
@@ -41,208 +40,209 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
 _SYMBOLS = ["|[]|", "[]", "||", "->", "{", "}", "(", ")", ",", ":", "/"]
-# One token per match: a whitespace run, a symbol (tried in list order, so
-# longest first), a word run, or any other single character (an error).
-_TOKEN = re.compile(r"(\s+)|(%s)|(\w+)|(.)" % "|".join(map(re.escape, _SYMBOLS)))
+# One match per token, after any whitespace: a symbol (tried in list order, so
+# longest first), a word run, or any other character (an error).  Matching
+# stops at the trailing whitespace, which would otherwise be rescanned from
+# each of its characters.
+_TOKEN = re.compile(r"\s*(%s|\w+|\S)" % "|".join(map(re.escape, _SYMBOLS)))
+_SYMBOL_KINDS = {symbol: symbol for symbol in _SYMBOLS}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column = 1, 1
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        chunk = match.group()
-        if group == 1:
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                column = len(chunk) - chunk.rindex("\n")
-            else:
-                column += len(chunk)
-            continue
-        if group == 2:
-            tokens.append(_Token(chunk, chunk, line, column))
-        elif group == 4:
-            raise ParseError(f"unexpected character {chunk!r}", line, column)
-        elif chunk.isdigit():
-            tokens.append(_Token("int", chunk, line, column))
-        elif chunk[0].isalpha() or chunk[0] == "_":
-            tokens.append(_Token("name", chunk, line, column))
-        else:
-            tokens += _split_word(chunk, line, column)
-        column += len(chunk)
-    tokens.append(_Token("end", "", line, column))
-    return tokens
+def _word_kind(word: str) -> str | None:
+    if word.isdigit():
+        return "int"
+    if word[0].isalpha() or word[0] == "_":
+        return "name"
+    return None
 
 
-def _split_word(word: str, line: int, column: int) -> list[_Token]:
-    """Split a word run that mixes digits with other characters.
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The token kinds and texts, ending with an "end" token.
+
+    A kind is the symbol itself, "int", "name" or "end".  Tokens carry no
+    position: `_position` recovers one from the texts when an error needs it.
+    """
+    texts = _TOKEN.findall(text, 0, len(text.rstrip()))
+    kinds = [_SYMBOL_KINDS.get(chunk) or _word_kind(chunk) for chunk in texts]
+    if None in kinds:
+        kinds, texts = _split_words(text, texts)
+    kinds.append("end")
+    texts.append("")
+    return kinds, texts
+
+
+def _split_words(text: str, chunks: list[str]) -> tuple[list[str], list[str]]:
+    """Tokens for chunks that include a word mixing digits with other
+    characters, or a character that starts no token.
 
     Digit runs become "int" tokens; a letter or "_" starts a "name" that runs
     to the end of the word.
     """
-    tokens = []
-    i = 0
-    while i < len(word):
-        ch = word[i]
-        if ch.isdigit():
-            j = i + 1
-            while j < len(word) and word[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", word[i:j], line, column + i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            tokens.append(_Token("name", word[i:], line, column + i))
-            break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column + i)
-    return tokens
+    kinds: list[str] = []
+    texts: list[str] = []
+    for index, chunk in enumerate(chunks):
+        kind = _SYMBOL_KINDS.get(chunk) or _word_kind(chunk)
+        if kind:
+            kinds.append(kind)
+            texts.append(chunk)
+            continue
+        i = 0
+        while i < len(chunk):
+            ch = chunk[i]
+            if ch.isdigit():
+                j = i + 1
+                while j < len(chunk) and chunk[j].isdigit():
+                    j += 1
+                kinds.append("int")
+                texts.append(chunk[i:j])
+                i = j
+            elif ch.isalpha() or ch == "_":
+                kinds.append("name")
+                texts.append(chunk[i:])
+                break
+            else:
+                line, column = _position(text, chunks, index)
+                raise ParseError(f"unexpected character {ch!r}", line, column + i)
+    return kinds, texts
 
 
-def _weight_int(token: _Token) -> int:
-    # str.isdigit, and so the tokenizer, accepts digits such as "²" that int() rejects
-    try:
-        return int(token.text)
-    except ValueError:
-        raise ParseError(
-            f"weight {token.text!r} is not a decimal number", token.line, token.column
-        ) from None
+def _position(text: str, texts: list[str], index: int) -> tuple[int, int]:
+    """The line and column of token `index`, the end token at the end of text.
+
+    Only whitespace separates the tokens, so each one is the first
+    occurrence of its text after the one before it.
+    """
+    offset = 0
+    for chunk in texts[:index]:
+        offset = text.find(chunk, offset) + len(chunk)
+    offset = text.find(texts[index], offset) if texts[index] else len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, text: str, allow_success: bool):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
         self.allow_success = allow_success
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, index: int, message: str) -> ParseError:
+        return ParseError(message, *_position(self.text, self.texts, index))
 
-    def next(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def found(self) -> str:
+        return repr(self.texts[self.pos] or "end of input")
 
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
-        return self.next()
-
-    def fail(self, message: str):
-        token = self.peek()
-        raise ParseError(message, token.line, token.column)
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(pos, f"expected {kind!r}, found {self.found()}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # --- grammar ---------------------------------------------------------
 
     def parse_process(self) -> Term:
         term = self.parse_choice()
-        while self.peek().kind in ("||", "|[]|"):
-            op = self.next().kind
+        kinds = self.kinds
+        while kinds[self.pos] in ("||", "|[]|"):
+            op = kinds[self.pos]
+            self.pos += 1
             right = self.parse_choice()
             term = SyncPar(term, right) if op == "||" else SharedPar(term, right)
         return term
 
-    def _at_atom(self) -> bool:
-        token = self.peek()
-        if token.kind == "(":
-            return True
-        if token.kind == "int" and token.text == "0":
-            return True
-        if token.kind == "name" and token.text == "p":
-            return self.tokens[self.pos + 1].kind == "{"
-        if token.kind == "name" and token.text == "prio":
-            return self.tokens[self.pos + 1].kind == "("
-        return False
-
     def parse_choice(self) -> Term:
-        if self._at_atom():
-            return self.parse_atom()
+        term = self.parse_atom()
+        if term is not None:
+            return term
         branches = [self.parse_branch()]
-        while self.peek().kind == "[]":
-            self.next()
+        kinds = self.kinds
+        while kinds[self.pos] == "[]":
+            self.pos += 1
             branches.append(self.parse_branch())
-        token = self.peek()
         try:
             return ExternalChoice(tuple(branches))
         except ValueError as exc:
-            raise ParseError(str(exc), token.line, token.column) from None
+            raise self.error(self.pos, str(exc)) from None
 
     def parse_branch(self) -> tuple[str, Term]:
-        token = self.peek()
-        if token.kind != "name":
-            self.fail(f"expected an action label, found {token.text or 'end of input'!r}")
-        label = self.next().text
+        pos = self.pos
+        if self.kinds[pos] != "name":
+            raise self.error(pos, f"expected an action label, found {self.found()}")
+        label = self.texts[pos]
+        self.pos = pos + 1
         if label == OMEGA:
             if not self.allow_success:
-                self.fail(f"success marker {OMEGA!r} is only allowed in tests")
+                raise self.error(pos + 1, f"success marker {OMEGA!r} is only allowed in tests")
             return (OMEGA, Empty())
-        if self.peek().kind == "->":
-            self.next()
+        if self.kinds[pos + 1] == "->":
+            self.pos = pos + 2
             return (label, self.parse_target())
         return (label, Empty())
 
     def parse_target(self) -> Term:
-        if self._at_atom():
-            return self.parse_atom()
-        label, sub = self.parse_branch()
-        return ExternalChoice(((label, sub),))
+        term = self.parse_atom()
+        if term is not None:
+            return term
+        return ExternalChoice((self.parse_branch(),))
 
-    def parse_atom(self) -> Term:
-        token = self.peek()
-        if token.kind == "int" and token.text == "0":
-            self.next()
-            return Empty()
-        if token.kind == "(":
-            self.next()
+    def parse_atom(self) -> Term | None:
+        """The atom at the current token, or None when no atom starts there."""
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind == "(":
+            self.pos = pos + 1
             term = self.parse_process()
             self.expect(")")
             return term
-        if token.kind == "name" and token.text == "prio":
-            self.next()
-            self.expect("(")
+        if kind == "int":
+            if text != "0":
+                return None
+            self.pos = pos + 1
+            return Empty()
+        if kind != "name":
+            return None
+        if text == "prio" and self.kinds[pos + 1] == "(":
+            self.pos = pos + 2
             term = self.parse_process()
             self.expect(")")
             return Priority(term)
-        if token.kind == "name" and token.text == "p":
-            self.next()
-            self.expect("{")
+        if text == "p" and self.kinds[pos + 1] == "{":
+            self.pos = pos + 2
             branches = [self.parse_weighted()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 branches.append(self.parse_weighted())
-            closing = self.peek()
+            closing = self.pos
             self.expect("}")
             try:
                 return ProbChoice(tuple(branches))
             except ValueError as exc:
-                raise ParseError(str(exc), closing.line, closing.column) from None
-        self.fail(f"expected a process, found {token.text or 'end of input'!r}")
+                raise self.error(closing, str(exc)) from None
+        return None
+
+    def weight_int(self) -> int:
+        pos = self.pos
+        text = self.expect("int")
+        # str.isdigit, and so the tokenizer, accepts digits such as "²" that int() rejects
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(pos, f"weight {text!r} is not a decimal number") from None
 
     def parse_weighted(self) -> tuple[Fraction, Term]:
-        token = self.expect("int")
-        numerator = _weight_int(token)
+        start = self.pos
+        numerator = self.weight_int()
         denominator = 1
-        if self.peek().kind == "/":
-            self.next()
-            denominator = _weight_int(self.expect("int"))
+        if self.kinds[self.pos] == "/":
+            self.pos += 1
+            denominator = self.weight_int()
         if denominator == 0:
-            raise ParseError("weight denominator is zero", token.line, token.column)
+            raise self.error(start, "weight denominator is zero")
         weight = Fraction(numerator, denominator)
         if not 0 < numerator <= denominator:
-            raise ParseError(f"weight {weight} is outside (0,1]", token.line, token.column)
+            raise self.error(start, f"weight {weight} is outside (0,1]")
         self.expect(":")
         return (weight, self.parse_process())
 

@@ -38,15 +38,14 @@ class MenuNotOffered(ValueError):
 
 
 def _merge_prob_edges(edges: Iterable[tuple[int, object, int]]) -> tuple[ProbEdge, ...]:
+    # Insertion order keeps the first edge of each pair in place.
     acc: dict[tuple[int, int], Fraction] = {}
-    order: list[tuple[int, int]] = []
     for src, weight, dst in edges:
+        if type(weight) is not Fraction:
+            weight = Fraction(weight)
         key = (src, dst)
-        if key not in acc:
-            acc[key] = Fraction(0)
-            order.append(key)
-        acc[key] += Fraction(weight)
-    return tuple((src, acc[(src, dst)], dst) for src, dst in order)
+        acc[key] = acc[key] + weight if key in acc else weight
+    return tuple((src, weight, dst) for (src, dst), weight in acc.items())
 
 
 @dataclass(frozen=True)

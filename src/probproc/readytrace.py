@@ -179,22 +179,30 @@ def iter_ready_traces(
         raise ValueError("max_len must be at least 1")
     table = pts.positions
 
-    def walk(pos, menus, actions, num, den):
+    def entries(pos, menus, actions, num, den):
+        """Each menu at the position, with its trace and weight."""
         weights, total = table.menus[pos], table.totals[pos]
         for menu in sorted(weights, key=menu_key):
-            trace = ReadyTrace(menus + (menu,), actions)
-            yield trace, Fraction(num * weights[menu], den * total)
-            if len(trace) < max_len:
-                for action in sorted(menu):
-                    yield from walk(
-                        table.child(pos, menu, action),
-                        trace.menus,
-                        actions + (action,),
-                        num * weights[menu],
-                        den * total,
-                    )
+            yield pos, menu, menus + (menu,), actions, num * weights[menu], den * total
 
-    yield from walk(table.start(pts.root if state is None else state), (), (), 1, 1)
+    def below(pos, menu, menus, actions, num, den):
+        """The entries one step on, by each action of the menu in turn."""
+        for action in sorted(menu):
+            child = table.child(pos, menu, action)
+            yield from entries(child, menus, actions + (action,), num, den)
+
+    # A stack of entry iterators, one per trace step: each entry's traces
+    # come before its next sibling, and a child is conditioned only when
+    # the walk reaches it.
+    stack = [entries(table.start(pts.root if state is None else state), (), (), 1, 1)]
+    while stack:
+        for pos, menu, menus, actions, num, den in stack[-1]:
+            yield ReadyTrace(menus, actions), Fraction(num, den)
+            if len(menus) < max_len:
+                stack.append(below(pos, menu, menus, actions, num, den))
+                break
+        else:
+            stack.pop()
 
 
 # --- equivalence -----------------------------------------------------------

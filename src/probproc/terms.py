@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Union
 
 from .pts import OMEGA
@@ -68,11 +69,17 @@ class ProbChoice:
     def __post_init__(self):
         if not self.branches:
             raise ValueError("probabilistic choice needs at least one branch")
+        # In integers: each weight n/d lies in (0,1] when 0 < n <= d, and the
+        # weights sum to one when their numerators over the lcm do.
+        common = lcm(*(weight.denominator for weight, _ in self.branches))
+        scaled = 0
         for weight, _ in self.branches:
-            if not (0 < weight <= 1):
+            numerator, denominator = weight.numerator, weight.denominator
+            if not 0 < numerator <= denominator:
                 raise ValueError(f"weight {weight} is outside (0,1]")
-        total = sum(weight for weight, _ in self.branches)
-        if total != 1:
+            scaled += numerator * (common // denominator)
+        if scaled != common:
+            total = sum(weight for weight, _ in self.branches)
             raise ValueError(f"weights sum to {total}, not 1")
         _store_hash(self, self.branches)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .pts import OMEGA, Pts
 from .ratfunc import RationalFn
@@ -579,10 +579,34 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
 def _synthesize(
     left: _Outcomes, right: _Outcomes, pair: tuple[int, int], alpha: frozenset[str], memo: dict
 ) -> Term:
-    """A test telling apart a pair of inequivalent positions.  A candidate's
-    outcome at a position is the sum of weight * outcome(state) over its
-    branches, divided by the total; the two sides are compared with each
-    sum scaled by the other side's total instead."""
+    """A test telling apart a pair of inequivalent positions.
+
+    Each level is a generator that yields the child pair it needs a witness
+    for and is sent that witness back, so the levels wait on a list rather
+    than on the Python stack, and a pair differing only deep down still gets
+    its witness."""
+    levels = [_synthesis_level(left, right, pair, alpha, memo)]
+    found = None
+    while True:
+        try:
+            child = levels[-1].send(found)
+        except StopIteration as done:
+            levels.pop()
+            if not levels:
+                return done.value
+            found = done.value
+        else:
+            levels.append(_synthesis_level(left, right, child, alpha, memo))
+            found = None
+
+
+def _synthesis_level(
+    left: _Outcomes, right: _Outcomes, pair: tuple[int, int], alpha: frozenset[str], memo: dict
+) -> Generator[tuple[int, int], Term, Term]:
+    """The candidates at one pair of positions.  A candidate's outcome at a
+    position is the sum of weight * outcome(state) over its branches,
+    divided by the total; the two sides are compared with each sum scaled
+    by the other side's total instead."""
     lt, rt = left.process.positions, right.process.positions
     lpos, rpos = pair
     lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.branches[lpos]]
@@ -607,7 +631,7 @@ def _synthesize(
         child = (lt.child(lpos, menu, action), rt.child(rpos, menu, action))
         if views_differ(lt, rt, child, memo) is None:
             continue
-        deeper = _synthesize(left, right, child, alpha, memo)
+        deeper = yield child
         probes = sorted(offered - menu)
         for size in range(len(probes) + 1):
             for extra in combinations(probes, size):

@@ -402,6 +402,35 @@ def test_deep_chains_are_decided_without_recursion():
     assert trace_probability(other, verdict.trace) == F(1, 2)
 
 
+def test_deep_chain_pair_gets_a_witness():
+    late = _chain(_STEPS, F(1, 3), split_first=False)
+    other = _chain(_STEPS, F(1, 2), split_first=True)
+    witness = distinguishing_test(late, other)
+    # the chain's steps, then a probe of both actions where the menus differ
+    for _ in range(_STEPS):
+        (label, witness), = witness.branches
+        assert label == "a"
+    assert witness == parse_test("a->w [] b->w")
+
+
+def test_ready_traces_of_a_deep_chain():
+    steps = 3_000
+    chain = _chain(steps, F(1, 3), split_first=False)
+    traces = list(iter_ready_traces(chain))
+    assert len(traces) == steps + 3
+    for length, (trace, probability) in enumerate(traces[:steps], start=1):
+        assert trace.menus == (frozenset("a"),) * length
+        assert trace.actions == ("a",) * (length - 1)
+        assert probability == 1
+    tails = [(trace.menus[steps:], trace.actions[steps:], p) for trace, p in traces[steps:]]
+    assert tails == [
+        ((frozenset(),), (), F(2, 3)),
+        ((frozenset("b"),), (), F(1, 3)),
+        ((frozenset("b"), frozenset()), ("b",), F(1, 3)),
+    ]
+    assert trace_probability(chain, traces[-1][0]) == F(1, 3)
+
+
 def test_tree_signature_of_a_deep_chain():
     signature = tree_signature(_chain(_STEPS, F(1, 3), split_first=False))
     depth = 0

@@ -1,7 +1,12 @@
 """Concrete syntax: parsing, rendering, alphabets, priority orders."""
 
+import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+from typing import NamedTuple
 
 import pytest
 
@@ -273,11 +278,23 @@ _PIECES = parser._SYMBOLS + ["p", "prio", "w", "a", "Zq", "x9", "_", "0", "12", 
 _PIECES += ["\n", "\t", "\r", "\x85", " ", "²", "½", "١", "é", "e\u0301", "$"]
 
 
-def _lex(tokenize, text):
+def _lex_reference(text):
     try:
-        return [tuple(token) for token in tokenize(text)]
+        return _reference_tokenize(text)
     except ParseError as exc:
         return str(exc)
+
+
+def _lex(text):
+    """The flat tokenizer's kinds and texts, each token placed by `_position`."""
+    try:
+        kinds, texts = parser._tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+    return [
+        (kind, token, *parser._position(text, texts, index))
+        for index, (kind, token) in enumerate(zip(kinds, texts))
+    ]
 
 
 def test_tokenizer_agrees_with_the_character_by_character_reference():
@@ -285,13 +302,198 @@ def test_tokenizer_agrees_with_the_character_by_character_reference():
     errors = 0
     for _ in range(50_000):
         text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10)))
-        expected = _lex(_reference_tokenize, text)
-        assert _lex(parser._tokenize, text) == expected, repr(text)
+        expected = _lex_reference(text)
+        assert _lex(text) == expected, repr(text)
         errors += isinstance(expected, str)
     assert 5_000 < errors < 45_000  # both outcomes are well represented
 
 
-def test_parses_agree_with_the_reference_tokenizer(monkeypatch):
+def test_trailing_whitespace_is_tokenized_in_linear_time():
+    text = "a->b" + " \n" * 15_000
+    start = perf_counter()
+    assert parser._tokenize(text) == (["name", "->", "name", "end"], ["a", "->", "b", ""])
+    # linear: a few milliseconds; rescanning the run from each of its
+    # characters takes seconds
+    assert perf_counter() - start < 0.5
+    with pytest.raises(ParseError) as info:
+        parse_term(text + "$")
+    assert str(info.value) == "unexpected character '$' (line 15001, column 1)"
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+class _ReferenceParser:
+    """The parser over positioned `_Token`s that the flat token lists replaced."""
+
+    def __init__(self, tokens: list[_Token], allow_success: bool):
+        self.tokens = tokens
+        self.pos = 0
+        self.allow_success = allow_success
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, kind: str) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {token.text or 'end of input'!r}",
+                token.line,
+                token.column,
+            )
+        return self.next()
+
+    def fail(self, message: str):
+        token = self.peek()
+        raise ParseError(message, token.line, token.column)
+
+    def parse_process(self):
+        term = self.parse_choice()
+        while self.peek().kind in ("||", "|[]|"):
+            op = self.next().kind
+            right = self.parse_choice()
+            term = SyncPar(term, right) if op == "||" else SharedPar(term, right)
+        return term
+
+    def _at_atom(self) -> bool:
+        token = self.peek()
+        if token.kind == "(":
+            return True
+        if token.kind == "int" and token.text == "0":
+            return True
+        if token.kind == "name" and token.text == "p":
+            return self.tokens[self.pos + 1].kind == "{"
+        if token.kind == "name" and token.text == "prio":
+            return self.tokens[self.pos + 1].kind == "("
+        return False
+
+    def parse_choice(self):
+        if self._at_atom():
+            return self.parse_atom()
+        branches = [self.parse_branch()]
+        while self.peek().kind == "[]":
+            self.next()
+            branches.append(self.parse_branch())
+        token = self.peek()
+        try:
+            return ExternalChoice(tuple(branches))
+        except ValueError as exc:
+            raise ParseError(str(exc), token.line, token.column) from None
+
+    def parse_branch(self):
+        token = self.peek()
+        if token.kind != "name":
+            self.fail(f"expected an action label, found {token.text or 'end of input'!r}")
+        label = self.next().text
+        if label == OMEGA:
+            if not self.allow_success:
+                self.fail(f"success marker {OMEGA!r} is only allowed in tests")
+            return (OMEGA, Empty())
+        if self.peek().kind == "->":
+            self.next()
+            return (label, self.parse_target())
+        return (label, Empty())
+
+    def parse_target(self):
+        if self._at_atom():
+            return self.parse_atom()
+        label, sub = self.parse_branch()
+        return ExternalChoice(((label, sub),))
+
+    def parse_atom(self):
+        token = self.peek()
+        if token.kind == "int" and token.text == "0":
+            self.next()
+            return Empty()
+        if token.kind == "(":
+            self.next()
+            term = self.parse_process()
+            self.expect(")")
+            return term
+        if token.kind == "name" and token.text == "prio":
+            self.next()
+            self.expect("(")
+            term = self.parse_process()
+            self.expect(")")
+            return Priority(term)
+        if token.kind == "name" and token.text == "p":
+            self.next()
+            self.expect("{")
+            branches = [self.parse_weighted()]
+            while self.peek().kind == ",":
+                self.next()
+                branches.append(self.parse_weighted())
+            closing = self.peek()
+            self.expect("}")
+            try:
+                return ProbChoice(tuple(branches))
+            except ValueError as exc:
+                raise ParseError(str(exc), closing.line, closing.column) from None
+        self.fail(f"expected a process, found {token.text or 'end of input'!r}")
+
+    def _weight_int(self, token: _Token) -> int:
+        try:
+            return int(token.text)
+        except ValueError:
+            raise ParseError(
+                f"weight {token.text!r} is not a decimal number", token.line, token.column
+            ) from None
+
+    def parse_weighted(self):
+        token = self.expect("int")
+        numerator = self._weight_int(token)
+        denominator = 1
+        if self.peek().kind == "/":
+            self.next()
+            denominator = self._weight_int(self.expect("int"))
+        if denominator == 0:
+            raise ParseError("weight denominator is zero", token.line, token.column)
+        weight = Fraction(numerator, denominator)
+        if not 0 < numerator <= denominator:
+            raise ParseError(f"weight {weight} is outside (0,1]", token.line, token.column)
+        self.expect(":")
+        return (weight, self.parse_process())
+
+
+def _reference_parse(tokens: list[_Token], allow_success: bool):
+    reference = _ReferenceParser(tokens, allow_success)
+    term = reference.parse_process()
+    reference.expect("end")
+    return term
+
+
+def _reference_tokens(text: str) -> list[_Token]:
+    return [_Token(*token) for token in _reference_tokenize(text)]
+
+
+def _outcome(parse, *args) -> str:
+    """The render of the parsed term, or the parse error's message."""
+    try:
+        return render(parse(*args))
+    except ParseError as exc:
+        return f"error: {exc}"
+
+
+def _reference_outcomes(text: str) -> list[str]:
+    """The reference's outcomes for the text as a process and as a test."""
+    try:
+        tokens = _reference_tokens(text)
+    except ParseError as exc:
+        return [f"error: {exc}"] * 2
+    return [_outcome(_reference_parse, tokens, allow_success) for allow_success in (False, True)]
+
+
+def test_parses_agree_with_the_reference_tokenizer():
     texts = []
     for seed in (3, 2009):
         cfg = GenConfig(seed=seed)
@@ -301,14 +503,75 @@ def test_parses_agree_with_the_reference_tokenizer(monkeypatch):
             texts += [render(term) for term in equivalent_pair(cfg, rng)]
     texts += [text.replace(" ", "\n\t ") for text in texts[::7]]
 
-    def parse_all():
-        return [(parse_term(text), parse_test(text)) for text in texts]
+    for text in texts:
+        tokens = _reference_tokens(text)
+        assert parse_term(text) == _reference_parse(tokens, allow_success=False)
+        assert parse_test(text) == _reference_parse(tokens, allow_success=True)
 
-    fast = parse_all()
-    monkeypatch.setattr(
-        parser, "_tokenize", lambda text: [parser._Token(*t) for t in _reference_tokenize(text)]
-    )
-    assert parse_all() == fast
+
+def _load_decide_generator():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mutated_renders() -> list[str]:
+    """Decide-workload operands and harness renders, each truncated, with one
+    character replaced, or with a newline inserted."""
+    gen = _load_decide_generator()
+    rng = random.Random(9)
+    renders = []
+    for _ in range(3_500):
+        left, right, _ = gen.decide_pair(rng)
+        renders += [left, right]
+    cfg = GenConfig(seed=9)
+    renders += [render(random_term(cfg, rng)) for _ in range(1_000)]
+    for _ in range(500):
+        renders += [render(term) for term in equivalent_pair(cfg, rng)]
+    replacements = "ab0129{}()[]|-<>:,/ \n\tpw²½$é"
+    mutated = []
+    for text in renders:
+        at = rng.randrange(len(text) + 1)
+        how = rng.randrange(3)
+        if how == 0:
+            mutated.append(text[:at])
+        elif how == 1:
+            mutated.append(text[:at] + rng.choice(replacements) + text[at + 1 :])
+        else:
+            mutated.append(text[:at] + "\n" + text[at:])
+    return mutated
+
+
+def test_mutated_renders_parse_as_the_reference_parser_does():
+    results = []
+    for text in _mutated_renders():
+        outcomes = [_outcome(parse_term, text), _outcome(parse_test, text)]
+        assert outcomes == _reference_outcomes(text), repr(text)
+        results += outcomes
+    assert len(results) == 2 * 9_000
+    errors = sum(result.startswith("error: ") for result in results)
+    assert 4_000 < errors < 14_000  # both outcomes are well represented
+    # The digest was computed with the parser that preceded the flat tokens.
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == "250b9519bff453b7a69c769d428aea4931e88c2ae4632a7e4274148209c35707"
+
+
+def test_nesting_depths_that_parse():
+    """No shallower than the parser over positioned tokens: it reached a
+    494-deep prefix chain, 329-deep parentheses and 246-deep nested p{}."""
+    chain = parse_term("a->" * 400 + "0")
+    for _ in range(400):
+        assert chain.branches[0][0] == "a"
+        chain = chain.branches[0][1]
+    assert chain == Empty()
+    assert parse_term("(" * 300 + "a" + ")" * 300) == prefix("a")
+    nested = parse_term("p{1:" * 200 + "a" + "}" * 200)
+    for _ in range(200):
+        assert isinstance(nested, ProbChoice)
+        nested = nested.branches[0][1]
+    assert nested == prefix("a")
 
 
 def test_map_children_returns_the_term_when_no_child_changes():
