@@ -671,6 +671,8 @@ def run_checks(
     cfg: GenConfig, n_samples: int = 200, only: str | None = None
 ) -> dict[str, CheckReport]:
     """Run the named suite (or all of them) and return reports by name."""
+    if n_samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {n_samples}")
     names = [only] if only else list(CHECKS)
     out: dict[str, CheckReport] = {}
     for name in names:

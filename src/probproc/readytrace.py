@@ -250,9 +250,9 @@ def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dic
                 stack.pop()
                 continue
         elif steps is None:
-            differing = _differing_menus(lt, pair[0], rt, pair[1])
-            if differing:
-                memo[pair] = (differing[0],)
+            menu = _first_differing_menu(lt, pair[0], rt, pair[1])
+            if menu is not None:
+                memo[pair] = (menu,)
                 stack.pop()
                 continue
             steps = frame[1] = iter(lt.steps[pair[0]])
@@ -272,25 +272,39 @@ def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dic
     return memo[start]
 
 
-def _differing_menus(lt: Positions, lpos: int, rt: Positions, rpos: int) -> list[Menu]:
-    """The menus observed with different probabilities from the two
-    positions, in observation order; weights compared across totals."""
+def _first_differing_menu(lt: Positions, lpos: int, rt: Positions, rpos: int) -> Menu | None:
+    """The first menu, in observation order, observed with different
+    probabilities from the two positions; weights compared across totals."""
     lmenus, rmenus = lt.menus[lpos], rt.menus[rpos]
     ltotal, rtotal = lt.totals[lpos], rt.totals[rpos]
     if lmenus.keys() == rmenus.keys() and all(
         weight * rtotal == rmenus[menu] * ltotal for menu, weight in lmenus.items()
     ):
-        return []
-    return [
+        return None
+    return next(
         menu
         for menu in sorted(lmenus.keys() | rmenus.keys(), key=menu_key)
         if lmenus.get(menu, 0) * rtotal != rmenus.get(menu, 0) * ltotal
-    ]
+    )
+
+
+def differing_path(memo: dict, pair: tuple[int, int]) -> list[tuple[tuple[int, int], tuple]]:
+    """The pairs from an inequivalent pair along the first differing steps
+    that `views_differ` memoized, each with its step: (menu, action, child
+    pair), and last the pair whose menus differ, with (menu,)."""
+    path = []
+    while True:
+        step = memo[pair]
+        path.append((pair, step))
+        if len(step) == 1:
+            return path
+        pair = step[2]
 
 
 def ready_trace_equivalent(left: Pts, right: Pts) -> TraceVerdict:
     """Decide observational equivalence; witnesses carry both probabilities,
-    each the product of the menu probabilities along the trace."""
+    each the product of the menu probabilities along the trace.  The trace
+    is the differing path that `views_differ` memoized."""
     left.require_acyclic()
     right.require_acyclic()
     lt, rt = left.positions, right.positions
@@ -298,24 +312,10 @@ def ready_trace_equivalent(left: Pts, right: Pts) -> TraceVerdict:
     pair = (lt.start(left.root), rt.start(right.root))
     if views_differ(lt, rt, pair, memo) is None:
         return TraceVerdict(equivalent=True)
-    menus: list[Menu] = []
-    actions: list[str] = []
-    lnum = lden = rnum = rden = 1
-    while True:
-        step = memo[pair]
-        menu = step[0]
-        lnum *= lt.menus[pair[0]].get(menu, 0)
-        lden *= lt.totals[pair[0]]
-        rnum *= rt.menus[pair[1]].get(menu, 0)
-        rden *= rt.totals[pair[1]]
-        menus.append(menu)
-        if len(step) == 1:
-            break
-        actions.append(step[1])
-        pair = step[2]
+    path = differing_path(memo, pair)
+    trace = ReadyTrace(
+        tuple(step[0] for _, step in path), tuple(step[1] for _, step in path[:-1])
+    )
     return TraceVerdict(
-        equivalent=False,
-        trace=ReadyTrace(tuple(menus), tuple(actions)),
-        left_probability=Fraction(lnum, lden),
-        right_probability=Fraction(rnum, rden),
+        False, trace, trace_probability(left, trace), trace_probability(right, trace)
     )

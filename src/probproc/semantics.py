@@ -161,7 +161,8 @@ class _Compiler:
                 if label in node.sync:
                     continue
                 if left_quiet:
-                    assert label not in out, f"interleaved label {label!r} clashes"
+                    if label in out:
+                        raise ValueError(f"both operands of |[]| interleave label {label!r}")
                     out[label] = _Shared(node.left, target, node.sync)
         self._action_cache[node] = out
         return out

@@ -18,6 +18,8 @@ never need them.
 The bounded search decides from per-branch functionals whether any test up
 to the depth differs, and at which smallest depth (`_differing_depth`); it
 enumerates tests only at that depth, to report the first differing one.
+Every outcome comes from one evaluator (`_Outcomes.of`), and witness
+synthesis follows the one differing path of the ready-trace verdict.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Generator, Iterator
+from typing import Iterator
 
 from .pts import OMEGA, Pts
 from .ratfunc import RationalFn
-from .readytrace import _differing_menus, views_differ
+from .readytrace import differing_path, views_differ
 from .semantics import _Compiler
 from .terms import EMPTY_ORDER, ExternalChoice, Term, success
 
@@ -56,9 +58,8 @@ class _Outcomes:
     a / sum(common), in sorted order.  Each pair is computed once.
 
     `of` builds every sum in that order, so its results print the same
-    however the memo was filled.  `grouped` gives the same functions for
-    tests that differ only below the top, from parts shared between them.
-    Its parts come from `unit_step`, which `_differing_depth` also uses.
+    however the memo was filled.  `unit_step` and `weights` serve
+    `_differing_depth`, which decides on functionals rather than tests.
     """
 
     def __init__(self, process: Pts, steps):
@@ -67,52 +68,10 @@ class _Outcomes:
         self._memo: dict[tuple[int, object], RationalFn] = {}
         self._weights: dict[int, dict[int, Fraction]] = {}
         self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], Fraction]] = {}
-        self._parts: dict[tuple, RationalFn] = {}
-        self._shapes: dict[tuple, RationalFn] = {}
-        self._sums: dict[tuple[int, ...], RationalFn] = {}
 
     def of(self, test) -> RationalFn:
         """The outcome of running the test from the process root."""
         return self._at(self.process.root, test)
-
-    def grouped(self, test) -> RationalFn:
-        """A function equal to `of(test)`, summed per top-level branch.
-
-        For a test [] a.t_a over labels L the outcome is the sum over a in L
-        of part(L, a, t_a).  Each part is computed once, however many tests
-        share it, and parts with the same polynomials are one object, so
-        each sum of such objects is also built once and returned again
-        as the same object.  The sum may print differently from `of(test)`.
-        """
-        steps = self.steps
-        if steps.prob_steps(test):
-            return self.of(test)
-        actions = steps.action_steps(test)
-        if OMEGA in actions:
-            return _ONE
-        labels = tuple(sorted(actions))
-        parts = tuple(self._part(labels, label, actions[label]) for label in labels)
-        key = tuple(map(id, parts))
-        out = self._sums.get(key)
-        if out is None:
-            out = _ZERO
-            for part in parts:
-                out = out + part
-            self._sums[key] = out
-        return out
-
-    def _part(self, labels: tuple[str, ...], label: str, subtest) -> RationalFn:
-        """Sum of coefficient * outcome(successor, subtest) over the
-        successors the root reaches by the label, in a test over the labels."""
-        key = (labels, label, subtest)
-        out = self._parts.get(key)
-        if out is None:
-            out = _ZERO
-            successors = self.unit_step(self.process.root, labels)[0].get(label, {})
-            for target, coefficient in successors.items():
-                out = out + coefficient * self._at(target, subtest)
-            out = self._parts[key] = self._shapes.setdefault(_shape(out), out)
-        return out
 
     def unit_step(
         self, state: int, labels: tuple[str, ...]
@@ -329,14 +288,17 @@ def count_tests(universes, max_depth: int, cap: int | None = None) -> int:
 
 
 def _level_universes(pts: Pts, depth: int) -> list[frozenset[str]]:
-    """Actions enabled after exactly k synchronized steps, for k < depth."""
+    """Actions enabled after exactly k synchronized steps, for k < depth;
+    weighted steps are followed through chains of probabilistic states."""
     levels: list[frozenset[str]] = []
     frontier = {pts.root}
     for _ in range(depth):
         settled: set[int] = set()
-        for state in frontier:
+        stack = list(frontier)
+        while stack:
+            state = stack.pop()
             if pts.kind(state) == "p":
-                settled.update(target for _, target in pts.prob_successors(state))
+                stack.extend(target for _, target in pts.prob_successors(state))
             else:
                 settled.add(state)
         enabled: set[str] = set()
@@ -504,10 +466,11 @@ def bounded_testing_equivalent(
 
     The default depth, one more than the larger action depth, makes the
     bounded search a complete decision procedure for acyclic processes.
-    Returns the first distinguishing test in enumeration order, if any:
-    the verdict and the depth of that test come from `_differing_depth`,
-    and only the tests of that exact depth are enumerated.  With a budget,
-    raises ValueError, before any work, when there are more tests than it.
+    Returns the first distinguishing test in enumeration order, if any,
+    with its two outcomes from `_Outcomes.of`: the verdict and the depth of
+    that test come from `_differing_depth`, and only the tests of that
+    exact depth are run.  With a budget, raises ValueError, before any
+    work, when there are more tests than it.
     """
     left.require_acyclic()
     right.require_acyclic()
@@ -532,20 +495,11 @@ def bounded_testing_equivalent(
         return TestVerdict(True, depth)
     # Tests come by exact depth and none shallower than `found` differs, so
     # the first differing test of that depth is the first of the whole
-    # enumeration.  `grouped` hands out one object per distinct sum, so
-    # each pair of outcomes is compared once.
-    differ: dict[tuple[int, int], bool] = {}
+    # enumeration.
     for test in _iter_exact_depth_tests(universes, 0, found, {}):
-        out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
-        key = (id(out_left), id(out_right))
-        if key not in differ:
-            differ[key] = out_left != out_right
-        if differ[key]:
-            # Report the canonical sums: regrouped ones are equal as
-            # functions but may print differently.
-            return TestVerdict(
-                False, depth, test, left_outcomes.of(test), right_outcomes.of(test)
-            )
+        out_left, out_right = left_outcomes.of(test), right_outcomes.of(test)
+        if out_left != out_right:
+            return TestVerdict(False, depth, test, out_left, out_right)
     raise AssertionError(f"no test of depth {found} differs")
 
 
@@ -556,93 +510,75 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
     """A verified success-reaching test telling the two processes apart.
 
     Returns None when the processes are observationally equivalent (then no
-    test can separate them).  Otherwise builds a candidate recursively: when
-    the initial menu distributions differ at a smallest menu M, probing every
-    action outside M succeeds with different total probability; when they
-    agree, some menu/action step leads to inequivalent continuations, and the
-    step's action is prefixed onto a recursive witness, padded with probe
-    arms over first-level actions outside the menu until the outcomes differ.
-    Every returned test is checked against both processes first, and none
-    contains probabilistic branching.
+    test can separate them).  Otherwise the test follows the differing path
+    of the ready-trace verdict (`readytrace.differing_path`) and is built
+    from its end upwards.  The last pair first differs at a menu M: probe
+    every action outside M.  A pair above first differs at a step (M, a):
+    take the first candidate a.W [] (sum of b.w over b in E) that tells it
+    apart, W being the test one level down and E each subset, by size and
+    then in sorted order, of the labels offered outside M.  Each candidate
+    is checked against both processes, and none contains probabilistic
+    branching.
+
+    Why the first differing step always suffices.  Let (M, a) be the first
+    differing step in observation order.  Every menu N with a strictly
+    inside M comes earlier, so its child (N, a) is ready-trace equivalent,
+    and by the coincidence theorem its outcome difference delta_N on W is 0.
+    Menus without a add nothing, as both sides give them equal mass.  With
+    R the labels offered outside M and S = N - M, the candidate over E
+    differs by
+
+        D(E) = sum over S subset of R of c_S * a / (a + sum(S & E)),
+
+    where c_S sums p(N) * delta_N over the menus N with a and N - M = S,
+    so c_{} = p(M) * delta_M != 0.  As R's variables grow against a, the
+    matrix [a / (a + sum(S & E))] over E, S subsets of R tends to the
+    disjointness matrix (determinant +-1), so it is nonsingular and some E
+    gives D(E) != 0.  At the last pair the probe succeeds from a state
+    exactly when its menu is not inside M, and the menus strictly inside M
+    come earlier, so the outcomes differ by p_R(M) - p_L(M).
     """
     left.require_acyclic()
     right.require_acyclic()
+    lt, rt = left.positions, right.positions
     memo: dict = {}
-    start = (left.positions.start(left.root), right.positions.start(right.root))
-    if views_differ(left.positions, right.positions, start, memo) is None:
+    start = (lt.start(left.root), rt.start(right.root))
+    if views_differ(lt, rt, start, memo) is None:
         return None
-    alpha = frozenset(left.alphabet | right.alphabet)
     steps = _Compiler(EMPTY_ORDER)
-    return _synthesize(_Outcomes(left, steps), _Outcomes(right, steps), start, alpha, memo)
-
-
-def _synthesize(
-    left: _Outcomes, right: _Outcomes, pair: tuple[int, int], alpha: frozenset[str], memo: dict
-) -> Term:
-    """A test telling apart a pair of inequivalent positions.
-
-    Each level is a generator that yields the child pair it needs a witness
-    for and is sent that witness back, so the levels wait on a list rather
-    than on the Python stack, and a pair differing only deep down still gets
-    its witness."""
-    levels = [_synthesis_level(left, right, pair, alpha, memo)]
-    found = None
-    while True:
-        try:
-            child = levels[-1].send(found)
-        except StopIteration as done:
-            levels.pop()
-            if not levels:
-                return done.value
-            found = done.value
+    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
+    witness = None
+    for (lpos, rpos), step in reversed(differing_path(memo, start)):
+        if len(step) == 1:
+            outside = sorted((left.alphabet | right.alphabet) - step[0])
+            probe = tuple((b, success()) for b in outside)
+            candidates = [ExternalChoice(probe)] if probe else []
         else:
-            levels.append(_synthesis_level(left, right, child, alpha, memo))
-            found = None
-
-
-def _synthesis_level(
-    left: _Outcomes, right: _Outcomes, pair: tuple[int, int], alpha: frozenset[str], memo: dict
-) -> Generator[tuple[int, int], Term, Term]:
-    """The candidates at one pair of positions.  A candidate's outcome at a
-    position is the sum of weight * outcome(state) over its branches,
-    divided by the total; the two sides are compared with each sum scaled
-    by the other side's total instead."""
-    lt, rt = left.process.positions, right.process.positions
-    lpos, rpos = pair
-    lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.branches[lpos]]
-    rweights = [(weight * lt.totals[lpos], state) for weight, state in rt.branches[rpos]]
-
-    def distinguishes(candidate: Term) -> bool:
-        return left.mixed(lweights, candidate) != right.mixed(rweights, candidate)
-
-    differing = _differing_menus(lt, lpos, rt, rpos)
-    if differing:
-        for menu in differing:
-            outside = sorted(alpha - menu)
-            if not outside:
-                continue
-            candidate = ExternalChoice(tuple((b, success()) for b in outside))
-            if distinguishes(candidate):
-                return candidate
-        raise AssertionError("differing menu distributions admit no probe test")
-
-    offered = set().union(*lt.menus[lpos])
-    for menu, action in lt.steps[lpos]:
-        child = (lt.child(lpos, menu, action), rt.child(rpos, menu, action))
-        if views_differ(lt, rt, child, memo) is None:
-            continue
-        deeper = yield child
-        probes = sorted(offered - menu)
-        for size in range(len(probes) + 1):
-            for extra in combinations(probes, size):
-                branches = [(action, deeper)]
-                branches.extend((b, success()) for b in extra)
-                candidate = ExternalChoice(
-                    tuple(sorted(branches, key=lambda br: br[0]))
-                )
-                if distinguishes(candidate):
-                    return candidate
-    raise AssertionError("inequivalent positions admit no distinguishing test")
+            menu, action, _ = step
+            probes = sorted(set().union(*lt.menus[lpos]) - menu)
+            arm = [(action, witness)]
+            candidates = (
+                ExternalChoice(tuple(sorted(arm + [(b, success()) for b in extra])))
+                for size in range(len(probes) + 1)
+                for extra in combinations(probes, size)
+            )
+        # A candidate's outcome at a position is the sum of weight *
+        # outcome(state) over its branches, divided by the total; the sides
+        # are compared with each sum scaled by the other side's total.
+        lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.branches[lpos]]
+        rweights = [(weight * lt.totals[lpos], state) for weight, state in rt.branches[rpos]]
+        witness = next(
+            (
+                candidate
+                for candidate in candidates
+                if left_outcomes.mixed(lweights, candidate)
+                != right_outcomes.mixed(rweights, candidate)
+            ),
+            None,
+        )
+        if witness is None:
+            raise AssertionError("inequivalent positions admit no distinguishing test")
+    return witness
 
 
 def term_action_depth(term: Term) -> int:

@@ -1,7 +1,12 @@
 """Command-line behavior: outputs, exit codes, file inputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import probproc
 from probproc.cli import main
 from probproc.fixtures import (
     COIN_MACHINE_EARLY,
@@ -148,6 +153,29 @@ def test_internal_error_exits_2_with_one_line(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_interleaving_clash_is_refused_also_without_asserts():
+    # Both operands of |[]| offer w unsynchronized; under python -O a bare
+    # assert would vanish and one w would silently replace the other.
+    src = str(Path(probproc.__file__).resolve().parents[1])
+    results = set()
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "probproc.cli", "res", "a", "a->w |[]| a->w"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        results.add((done.returncode, done.stdout, done.stderr))
+    assert results == {(2, "", "error: both operands of |[]| interleave label 'w'\n")}
+
+
+def test_oracle_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--samples", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sample count must be non-negative, got -3\n"
 
 
 def test_oracle_runs_a_named_check(capsys):

@@ -138,7 +138,9 @@ def _ref_views_differ(left, lview, right, rview, memo):
     return result
 
 
-def _ref_synthesize(left, lview, right, rview, alpha, memo):
+def _ref_synthesize(left, lview, right, rview, alpha, memo, fallbacks):
+    """Reference synthesis: on a differing menu or child that admits no
+    witness it moves on to the next one; `fallbacks` counts each move."""
     ldist = _ref_menu_distribution(left, lview)
     rdist = _ref_menu_distribution(right, rview)
     steps = _Compiler(EMPTY_ORDER)
@@ -155,11 +157,11 @@ def _ref_synthesize(left, lview, right, rview, alpha, memo):
         )
         for menu in differing:
             outside = sorted(alpha - menu)
-            if not outside:
-                continue
-            candidate = ExternalChoice(tuple((b, success()) for b in outside))
-            if distinguishes(candidate):
-                return candidate
+            if outside:
+                candidate = ExternalChoice(tuple((b, success()) for b in outside))
+                if distinguishes(candidate):
+                    return candidate
+            fallbacks["menu"] += 1
         raise AssertionError("differing menu distributions admit no probe test")
     for menu in sorted(ldist, key=menu_key):
         for action in sorted(menu):
@@ -167,7 +169,7 @@ def _ref_synthesize(left, lview, right, rview, alpha, memo):
             rnext = _ref_condition(right, rview, menu, action)
             if _ref_views_differ(left, lnext, right, rnext, memo) is None:
                 continue
-            deeper = _ref_synthesize(left, lnext, right, rnext, alpha, memo)
+            deeper = _ref_synthesize(left, lnext, right, rnext, alpha, memo, fallbacks)
             probes = sorted(set().union(*ldist) - menu)
             for size in range(len(probes) + 1):
                 for extra in combinations(probes, size):
@@ -176,17 +178,18 @@ def _ref_synthesize(left, lview, right, rview, alpha, memo):
                     candidate = ExternalChoice(tuple(sorted(branches, key=lambda br: br[0])))
                     if distinguishes(candidate):
                         return candidate
+            fallbacks["child"] += 1
     raise AssertionError("inequivalent positions admit no distinguishing test")
 
 
-def _ref_verdict_and_witness(left, right):
+def _ref_verdict_and_witness(left, right, fallbacks):
     memo = {}
     lroot, rroot = ("s", left.root), ("s", right.root)
     witness = _ref_views_differ(left, lroot, right, rroot, memo)
     if witness is None:
         return None, None
     alpha = frozenset(left.alphabet | right.alphabet)
-    return witness, _ref_synthesize(left, lroot, right, rroot, alpha, memo)
+    return witness, _ref_synthesize(left, lroot, right, rroot, alpha, memo, fallbacks)
 
 
 def _ref_iter_ready_traces(pts, max_len):
@@ -247,8 +250,9 @@ def _corpus(seed: int, n: int):
 @pytest.mark.parametrize("seed", [2009, 20260809])
 def test_table_matches_the_fraction_views(seed):
     distinguished = equivalent = 0
+    fallbacks = Counter()
     for left, right in _corpus(seed, 120):
-        expected, expected_witness = _ref_verdict_and_witness(left, right)
+        expected, expected_witness = _ref_verdict_and_witness(left, right, fallbacks)
         verdict = ready_trace_equivalent(left, right)
         assert verdict.equivalent == (expected is None)
         if expected is None:
@@ -264,6 +268,9 @@ def test_table_matches_the_fraction_views(seed):
         assert trace_probability(left, verdict.trace) == lp
         assert trace_probability(right, verdict.trace) == rp
     assert equivalent > 60 and distinguished > 60
+    # The synthesis keeps only the first differing menu and child, which
+    # the reference never moves past.
+    assert sum(fallbacks.values()) == 0, fallbacks
     for left, right in _corpus(seed, 30):
         for pts in (left, right):
             max_len = pts.action_depth + 1

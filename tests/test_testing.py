@@ -44,6 +44,7 @@ from probproc.testing import (
     _differing_depth,
     _exact_depth_tests,
     _iter_tests,
+    _shape,
     count_tests,
     distinguishing_test,
     iter_tests,
@@ -396,19 +397,30 @@ def test_shared_term_evaluator_agrees_with_compiled_tests():
     assert checked > 5000
 
 
-def _canonical_search(left: Pts, right: Pts, depth: int):
-    """The bounded search with every outcome computed by `_Outcomes.of`,
-    checking on the way that the grouped outcome of each test is equal."""
+def _first_enumerated_difference(left: Pts, right: Pts, depth: int):
+    """The first test up to the depth, in enumeration order, whose outcomes
+    differ, with both outcomes from `_Outcomes.of`; None when every test
+    agrees.  Each pair of polynomials is compared once."""
     steps = _Compiler(EMPTY_ORDER)
-    left_of, right_of = _Outcomes(left, steps), _Outcomes(right, steps)
-    left_grouped, right_grouped = _Outcomes(left, steps), _Outcomes(right, steps)
+    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
+    differ = {}
     for test in _iter_tests(relevant_universes(left, right, depth), depth):
-        out_left, out_right = left_of.of(test), right_of.of(test)
-        assert left_grouped.grouped(test) == out_left
-        assert right_grouped.grouped(test) == out_right
-        if out_left != out_right:
-            return (False, depth, render(test), str(out_left), str(out_right))
-    return (True, depth, None, "None", "None")
+        out_left, out_right = left_outcomes.of(test), right_outcomes.of(test)
+        key = (_shape(out_left), _shape(out_right))
+        if key not in differ:
+            differ[key] = out_left != out_right
+        if differ[key]:
+            return test, out_left, out_right
+    return None
+
+
+def _canonical_search(left: Pts, right: Pts, depth: int):
+    """The bounded search's verdict, from comparing every test in turn."""
+    first = _first_enumerated_difference(left, right, depth)
+    if first is None:
+        return (True, depth, None, "None", "None")
+    test, out_left, out_right = first
+    return (False, depth, render(test), str(out_left), str(out_right))
 
 
 def _searched(left: Pts, right: Pts, depth: int):
@@ -420,9 +432,10 @@ def _searched(left: Pts, right: Pts, depth: int):
     )
 
 
-def test_grouped_outcomes_sum_weights_over_paths():
+def test_weights_sum_over_paths():
     """State 2 is reached by two weighted paths, 1/2 directly and 1/2 * 1/2
-    through the probabilistic state 1; `of` follows each path separately."""
+    through the probabilistic state 1, so the graph matches the flat term
+    only if the weights of the two paths are added."""
     chain = Pts.build(
         alphabet={"a", "b", "c"},
         kinds={0: "p", 1: "p", 2: "n", 3: "n", 4: "n", 5: "n"},
@@ -431,31 +444,20 @@ def test_grouped_outcomes_sum_weights_over_paths():
         root=0,
     )
     flat = graph("p{3/4:(a->c->0 [] b->0), 1/4:a->0}")
-    steps = _Compiler(EMPTY_ORDER)
-    outcomes = [_Outcomes(pts, steps) for pts in (chain, chain, flat)]
-    for test in iter_tests("abc", 2):
-        canonical = outcomes[0].of(test)
-        assert outcomes[1].grouped(test) == canonical
-        assert outcomes[2].grouped(test) == canonical
+    assert _Outcomes(chain, _Compiler(EMPTY_ORDER)).weights(0) == {2: F(3, 4), 3: F(1, 4)}
+    assert _decided(chain, flat, 3) is None
+    verdict = bounded_testing_equivalent(chain, flat)
+    assert verdict.equivalent and verdict.depth == 3
 
 
-def test_grouped_outcomes_are_equal_but_may_print_unreduced():
-    # Why the search reports `of`: both states reach b->0 by a, and adding
-    # their parts keeps the common factor (a + c) in the grouped sum.
+def test_search_matches_canonical_outcomes():
+    """The search at the distinguishing depth finds the same first test, and
+    prints the same outcomes, as comparing every test in turn."""
+    # Outcomes print reduced: both states reach b->0 by a, and the common
+    # factor (a + c) of their sum is cancelled.
     process = graph("p{3/4:a->b [] c, 1/4:a->b [] c->c}")
-    test = parse_test("a->w [] c->c->w")
-    steps = _Compiler(EMPTY_ORDER)
-    grouped = _Outcomes(process, steps).grouped(test)
-    canonical = _Outcomes(process, steps).of(test)
-    assert grouped == canonical
-    assert str(canonical) == "(4*a + c) / (4*a + 4*c)"
-    assert str(grouped) != str(canonical)
-
-
-def test_grouped_search_matches_canonical_outcomes():
-    """The search over per-branch parts finds the same first test, at the
-    same depth, and prints the same outcomes as comparing canonical
-    outcomes test by test; every grouped outcome equals the canonical one."""
+    outcome = _Outcomes(process, _Compiler(EMPTY_ORDER)).of(parse_test("a->w [] c->c->w"))
+    assert str(outcome) == "(4*a + c) / (4*a + 4*c)"
     # The first root reaches (a->c->0 [] b->0) by two paths of the term.
     left = graph("p{1/2:p{1/2:(a->c->0 [] b->0), 1/2:a->0}, 1/2:(a->c->0 [] b->0)}")
     for right, equivalent in (
@@ -506,22 +508,6 @@ def _decided(left: Pts, right: Pts, depth: int):
     return _differing_depth(_Outcomes(left, steps), _Outcomes(right, steps), depth)
 
 
-def _first_enumerated_difference(left: Pts, right: Pts, depth: int):
-    """The first differing test over the whole enumeration up to the depth,
-    compared test by test from grouped outcomes, or None."""
-    steps = _Compiler(EMPTY_ORDER)
-    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
-    differ = {}
-    for test in _iter_tests(relevant_universes(left, right, depth), depth):
-        out_left, out_right = left_outcomes.grouped(test), right_outcomes.grouped(test)
-        key = (id(out_left), id(out_right))
-        if key not in differ:
-            differ[key] = out_left != out_right
-        if differ[key]:
-            return test
-    return None
-
-
 @pytest.mark.parametrize(
     "cfg, n",
     [(GenConfig(alphabet_size=2, max_depth=3, seed=20260809), 100), (GenConfig(seed=7), 40)],
@@ -539,8 +525,8 @@ def test_decider_agrees_with_enumeration_at_the_budget_depth(cfg, n):
             assert found is None and verdict.equivalent
             continue
         distinguished += 1
-        assert found == term_action_depth(first)
-        assert verdict.test == first
+        assert found == term_action_depth(first[0])
+        assert verdict.test == first[0]
     assert n // 3 < distinguished < n - n // 3
 
 
