@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from hashlib import blake2b
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -105,37 +106,44 @@ class Pts:
         return self._prob_map[state]
 
     @cached_property
-    def is_acyclic(self) -> bool:
-        color: dict[int, int] = {}
-        out: dict[int, list[int]] = {s: [] for s in self.kinds}
+    def _order(self) -> tuple[int, ...] | None:
+        """Every state, each after all of its successors, by an iterative
+        post-order over every edge; None on a cycle, reachable or not."""
+        successors: dict[int, list[int]] = {state: [] for state in self.kinds}
         for src, _, dst in self.action_edges:
-            out[src].append(dst)
+            successors[src].append(dst)
         for src, _, dst in self.prob_edges:
-            out[src].append(dst)
-
+            successors[src].append(dst)
+        order: list[int] = []
+        done: set[int] = set()
+        active: set[int] = set()
         for start in self.kinds:
-            if color.get(start):
+            if start in done:
                 continue
-            stack = [(start, iter(out[start]))]
-            color[start] = 1
+            active.add(start)
+            stack = [(start, iter(successors[start]))]
             while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if color.get(child) == 1:
-                        return False
-                    if color.get(child) is None:
-                        color[child] = 1
-                        stack.append((child, iter(out.get(child, ()))))
-                        advanced = True
+                state, pending = stack[-1]
+                for dst in pending:
+                    if dst in active:
+                        return None
+                    if dst not in done:
+                        active.add(dst)
+                        stack.append((dst, iter(successors.get(dst, ()))))
                         break
-                if not advanced:
-                    color[node] = 2
+                else:
                     stack.pop()
-        return True
+                    active.discard(state)
+                    done.add(state)
+                    order.append(state)
+        return tuple(order)
+
+    @property
+    def is_acyclic(self) -> bool:
+        return self._order is not None
 
     def require_acyclic(self) -> None:
-        if not self.is_acyclic:
+        if self._order is None:
             raise CyclicGraphError("operation requires an acyclic graph")
 
     @cached_property
@@ -143,43 +151,19 @@ class Pts:
         """Largest number of action edges on any path from the root."""
         self.require_acyclic()
         depth: dict[int, int] = {}
-        stack = [self.root]
-        while stack:
-            state = stack[-1]
-            if state in depth:
-                stack.pop()
-                continue
-            actions = self._action_map[state].values()
-            weighted = [dst for _, dst in self._prob_map[state]]
-            pending = [dst for dst in (*actions, *weighted) if dst not in depth]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            depth[state] = max(
-                max((1 + depth[dst] for dst in actions), default=0),
-                max((depth[dst] for dst in weighted), default=0),
-            )
+        action_map, prob_map = self._action_map, self._prob_map
+        for state in self._order:
+            actions = action_map[state]
+            here = 1 + max(map(depth.__getitem__, actions.values())) if actions else 0
+            for _, dst in prob_map[state]:
+                here = max(here, depth[dst])
+            depth[state] = here
         return depth[self.root]
 
     @cached_property
     def positions(self) -> Positions:
         """The graph's position table, filled as positions are asked for."""
         return Positions(self)
-
-    def reachable(self, start: int | None = None) -> set[int]:
-        start = self.root if start is None else start
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            targets = list(self._action_map[node].values())
-            targets.extend(dst for _, dst in self._prob_map[node])
-            for dst in targets:
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        return seen
 
 
 def validate(pts: Pts, allow_success: bool = False) -> list[str]:
@@ -448,39 +432,27 @@ def tree_signature(pts: Pts, state: int | None = None):
     isomorphic as ordered-by-label trees, which is the natural reading of
     "the same graph up to state names" for acyclic systems that may share
     structurally equal substates.
+
+    Weighted siblings are ordered by weight, then by a digest built
+    bottom-up from their children's digests, so one loop over the graph's
+    order builds every signature in linear time, however deep.  `==`
+    between signatures of two different graphs still compares their
+    unfoldings, which may be exponentially larger than the graphs.
     """
     pts.require_acyclic()
-    state = pts.root if state is None else state
-    memo: dict[int, object] = {}
-    stack = [state]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
+    signatures: dict[int, tuple] = {}
+    digests: dict[int, bytes] = {}
+    for node in pts._order:
         if pts.kinds[node] == "n":
-            children = sorted(pts._action_map[node].items())
+            tag, children = "n", sorted(pts._action_map[node].items())
         else:
-            children = pts.prob_successors(node)
-        pending = [dst for _, dst in children if dst not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if pts.kinds[node] == "n":
-            memo[node] = ("n", tuple((label, memo[dst]) for label, dst in children))
-        else:
-            memo[node] = ("p", _sorted_by_weight([(w, memo[dst]) for w, dst in children]))
-    return memo[state]
-
-
-def _sorted_by_weight(children: list[tuple[Fraction, object]]) -> tuple:
-    """Weighted signatures sorted by weight, then by their repr; the repr is
-    taken only when two of them share a weight."""
-    weights = [weight for weight, _ in children]
-    if len(set(weights)) == len(weights):
-        return tuple(sorted(children, key=lambda pair: pair[0]))
-    return tuple(sorted(children, key=lambda pair: (pair[0], repr(pair[1]))))
+            tag, children = "p", sorted(
+                pts._prob_map[node], key=lambda pair: (pair[0], digests[pair[1]])
+            )
+        signatures[node] = (tag, tuple((key, signatures[dst]) for key, dst in children))
+        shape = (tag, tuple((key, digests[dst]) for key, dst in children))
+        digests[node] = blake2b(repr(shape).encode(), digest_size=16).digest()
+    return signatures[pts.root if state is None else state]
 
 
 def to_json(pts: Pts) -> str:
@@ -519,8 +491,7 @@ def from_json(text: str) -> Pts:
                 (edge["from"], edge["label"], edge["to"]) for edge in doc["action_edges"]
             ],
             prob_edges=[
-                (edge["from"], Fraction(edge["weight"]), edge["to"])
-                for edge in doc["prob_edges"]
+                (edge["from"], _weight(edge), edge["to"]) for edge in doc["prob_edges"]
             ],
             root=doc["root"],
         )
@@ -532,6 +503,16 @@ def from_json(text: str) -> Pts:
     if problems:
         raise ValueError("invalid graph: " + "; ".join(problems))
     return pts
+
+
+def _weight(edge: dict) -> Fraction:
+    try:
+        return Fraction(edge["weight"])
+    except (ValueError, ArithmeticError):
+        raise ValueError(
+            f"invalid graph: weight {edge['weight']!r} of edge "
+            f"({edge['from']},{edge['to']}) is not a fraction"
+        ) from None
 
 
 def _dot_string(text: str) -> str:

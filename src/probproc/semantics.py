@@ -60,27 +60,22 @@ class _Shared:
 
 
 def _pin_sync_sets(term: Term):
-    if isinstance(term, SharedPar):
-        return _pin_with_alphabet(term)[0]
-    return map_children(term, _pin_sync_sets)
-
-
-def _pin_with_alphabet(term: Term):
-    """The pinned term and its alphabet, for a term under a |[]|.
+    """The term with each |[]| pinned to its synchronization set, and the
+    term's alphabet.
 
     Each |[]| takes its operands' alphabets from this same walk, so a chain
     of compositions is visited once rather than once per |[]| above it.
     """
     if isinstance(term, SharedPar):
-        left, left_labels = _pin_with_alphabet(term.left)
-        right, right_labels = _pin_with_alphabet(term.right)
+        left, left_labels = _pin_sync_sets(term.left)
+        right, right_labels = _pin_sync_sets(term.right)
         return _Shared(left, right, left_labels & right_labels), left_labels | right_labels
     labels: set[str] = set()
     if isinstance(term, ExternalChoice):
         labels.update(label for label, _ in term.branches if label != OMEGA)
 
     def pin(child: Term):
-        pinned, child_labels = _pin_with_alphabet(child)
+        pinned, child_labels = _pin_sync_sets(child)
         labels.update(child_labels)
         return pinned
 
@@ -171,7 +166,7 @@ class _Compiler:
 def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     """The reachable transition graph of a process or test term."""
     compiler = _Compiler(order)
-    root = _pin_sync_sets(term)
+    root, labels = _pin_sync_sets(term)
     ids: dict[object, int] = {root: 0}
     kinds: dict[int, str] = {}
     action_edges: list[tuple[int, str, int]] = []
@@ -199,7 +194,7 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
                 action_edges.append((state, label, intern(target)))
 
     return Pts.build(
-        alphabet=alphabet(term),
+        alphabet=labels,
         kinds=kinds,
         action_edges=action_edges,
         prob_edges=prob_edges,

@@ -2,6 +2,7 @@
 replaced, conditioning counts, and graphs too deep for recursion."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -445,3 +446,36 @@ def test_tree_signature_of_a_deep_chain():
         signature = signature[1][0][1]
         depth += 1
     assert depth == _STEPS + 2
+
+
+def test_tree_signature_of_a_deep_coin_split():
+    """Both branches of the 1/2-1/2 coin share a weight, so their order
+    comes from the digests, not from comparing the deep signatures."""
+    coin, weights = tree_signature(_chain(_STEPS, F(1, 2), split_first=True))
+    assert coin == "p"
+    assert [weight for weight, _ in weights] == [F(1, 2), F(1, 2)]
+    depths = []
+    for _, signature in weights:
+        depth = 0
+        while signature[1]:
+            signature = signature[1][0][1]
+            depth += 1
+        depths.append(depth)
+    assert sorted(depths) == [_STEPS, _STEPS + 1]
+
+
+def test_tree_signature_of_an_early_coin_chain_takes_linear_time():
+    """Five early coin machines under |[]| flip 32 equally weighted ways at
+    the root over 1,025 shared states; ordering those siblings by unfolding
+    their signatures took tens of seconds."""
+    copies = [
+        f"p{{1/2:(h{i}->p{i}->0 [] t{i}->0), 1/2:(h{i}->0 [] t{i}->p{i}->0)}}"
+        for i in range(5)
+    ]
+    graph = compile_term(parse_term(" |[]| ".join(f"({copy})" for copy in copies)))
+    assert len(graph.kinds) == 1025
+    started = time.perf_counter()
+    coin, branches = tree_signature(graph)
+    assert time.perf_counter() - started < 5
+    assert coin == "p" and len(branches) == 32
+    assert {weight for weight, _ in branches} == {F(1, 32)}

@@ -1,12 +1,14 @@
 """Transition-graph structure: validation, menus, conditioning, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from probproc.fixtures import COIN_MACHINE_EARLY, MENU_CONDITIONING_EXAMPLE
-from probproc.parser import parse_term
+from probproc.fixtures import COIN_MACHINE_EARLY, COIN_USER_TEST, MENU_CONDITIONING_EXAMPLE
+from probproc.harness import GenConfig, random_priority_order, random_term
+from probproc.parser import parse_term, parse_test
 from probproc.pts import (
     CyclicGraphError,
     MenuNotOffered,
@@ -18,7 +20,9 @@ from probproc.pts import (
     tree_signature,
     validate,
 )
+from probproc.readytrace import iter_ready_traces
 from probproc.semantics import compile_term
+from probproc.testing import apply_test, bounded_testing_equivalent, distinguishing_test
 
 F = Fraction
 
@@ -82,6 +86,69 @@ def test_cycle_flagged_but_not_fatal():
     assert any("cycle" in problem for problem in validate(loop))
     with pytest.raises(CyclicGraphError):
         derived_process(loop, 0, frozenset({"a"}), "a")
+
+
+_CYCLES = {
+    "through a probabilistic edge": Pts.build(
+        alphabet={"a"},
+        kinds={0: "p", 1: "n"},
+        action_edges=[(1, "a", 0)],
+        prob_edges=[(0, F(1), 1)],
+        root=0,
+    ),
+    "unreachable from the root": Pts.build(
+        alphabet={"a"},
+        kinds={0: "n", 1: "n", 2: "n"},
+        action_edges=[(1, "a", 2), (2, "a", 1)],
+        prob_edges=[],
+        root=0,
+    ),
+    "self-loop": Pts.build(
+        alphabet={"a"},
+        kinds={0: "n"},
+        action_edges=[(0, "a", 0)],
+        prob_edges=[],
+        root=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("cyclic", _CYCLES.values(), ids=_CYCLES.keys())
+def test_every_graph_operation_refuses_a_cycle(cyclic):
+    assert not cyclic.is_acyclic
+    assert validate(cyclic) == ["graph contains a cycle"]
+    user = compile_term(parse_test(COIN_USER_TEST))
+    machine = coin_machine()
+    refusals = [
+        lambda: cyclic.action_depth,
+        lambda: tree_signature(cyclic),
+        lambda: next(iter_ready_traces(cyclic)),
+        lambda: apply_test(cyclic, user),
+        lambda: apply_test(machine, cyclic),
+        lambda: bounded_testing_equivalent(cyclic, machine),
+        lambda: bounded_testing_equivalent(machine, cyclic, depth=1),
+        lambda: distinguishing_test(cyclic, machine),
+    ]
+    for refusal in refusals:
+        with pytest.raises(CyclicGraphError):
+            refusal()
+
+
+def _naive_action_depth(graph: Pts, state: int) -> int:
+    actions = [1 + _naive_action_depth(graph, dst) for dst in graph._action_map[state].values()]
+    weighted = [_naive_action_depth(graph, dst) for _, dst in graph.prob_successors(state)]
+    return max(actions + weighted, default=0)
+
+
+@pytest.mark.parametrize(
+    "cfg", [GenConfig(alphabet_size=3, max_depth=4, seed=11), GenConfig(4, 3, seed=12)]
+)
+def test_action_depth_matches_a_recursive_reference(cfg):
+    rng = random.Random(cfg.seed)
+    for _ in range(200):
+        graph = compile_term(random_term(cfg, rng), random_priority_order(cfg, rng))
+        assert graph.is_acyclic
+        assert graph.action_depth == _naive_action_depth(graph, graph.root)
 
 
 def test_parallel_prob_edges_merge_at_construction():
@@ -220,9 +287,6 @@ def test_derived_output_always_validates():
 
 
 def test_menu_of_compiled_test_root():
-    from probproc.fixtures import COIN_USER_TEST
-    from probproc.parser import parse_test
-
     user = compile_term(parse_test(COIN_USER_TEST))
     assert user.menu(user.root) == frozenset({"h", "t"})
 
@@ -242,6 +306,18 @@ def test_json_rejects_dangling_edge():
         from_json(json.dumps(doc))
 
 
+def _one_weight_document(weight: str) -> str:
+    return json.dumps(
+        {
+            "alphabet": ["a"],
+            "root": 0,
+            "states": [{"id": 0, "kind": "p"}, {"id": 1, "kind": "n"}],
+            "action_edges": [],
+            "prob_edges": [{"from": 0, "weight": weight, "to": 1}],
+        }
+    )
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -252,8 +328,10 @@ def test_json_rejects_dangling_edge():
             ' "action_edges": [], "prob_edges": []}',
             "missing key 'kind'",
         ),
+        (_one_weight_document("1/0"), "invalid graph: weight '1/0' of edge (0,1) "),
+        (_one_weight_document("abc"), "invalid graph: weight 'abc' of edge (0,1) "),
     ],
-    ids=["empty object", "array", "state without kind"],
+    ids=["empty object", "array", "state without kind", "zero denominator", "not a number"],
 )
 def test_json_rejects_malformed_documents_with_one_line(text, problem):
     with pytest.raises(ValueError) as info:
@@ -263,8 +341,6 @@ def test_json_rejects_malformed_documents_with_one_line(text, problem):
 
 
 def test_json_round_trips_compiled_test():
-    from probproc.parser import parse_test
-
     text = to_json(compile_term(parse_test("a->w")))
     assert to_json(from_json(text)) == text
 

@@ -192,10 +192,10 @@ def test_compiled_graphs_are_pinned():
 
 def test_pinning_sync_sets_rebuilds_only_above_a_shared_parallel():
     free = parse_term("p{1/2:a->b, 1/2:prio(c [] d)} || (a->c [] b)")
-    assert _pin_sync_sets(free) is free
+    assert _pin_sync_sets(free)[0] is free
     left, right = parse_term("a->b"), parse_term("b [] c->d")
     term = SyncPar(free, Priority(SharedPar(left, right)))
-    pinned = _pin_sync_sets(term)
+    pinned, _ = _pin_sync_sets(term)
     assert pinned is not term and pinned.left is free
     shared = pinned.right.body
     assert isinstance(shared, _Shared)
@@ -224,7 +224,7 @@ def test_pinning_a_chain_visits_each_node_once(monkeypatch):
 
     monkeypatch.setattr(terms, "children", counted(terms.children))
     monkeypatch.setattr(semantics, "map_children", counted(terms.map_children))
-    pinned = _pin_sync_sets(chain)
+    pinned, _ = _pin_sync_sets(chain)
     assert visits <= nodes
     for i in reversed(range(1, 300)):
         assert pinned.sync == frozenset({f"a{i - 1}"})
