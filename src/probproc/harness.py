@@ -24,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .fixtures import (
     COIN_MACHINE_EARLY,
@@ -65,6 +66,11 @@ from .testing import (
 
 _LABEL_POOL = ("a", "b", "c", "d")
 
+# Every generated choice has at most this many branches, and the weights of a
+# probabilistic choice share a denominator of at most this size.
+_MAX_BRANCHING = 3
+_MAX_WEIGHT_DENOMINATOR = 8
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -72,8 +78,6 @@ class GenConfig:
 
     alphabet_size: int = 3
     max_depth: int = 3
-    max_branching: int = 3
-    max_weight_denominator: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -81,21 +85,24 @@ class GenConfig:
             raise ValueError("alphabet_size must be between 1 and 4")
         if not 1 <= self.max_depth <= 4:
             raise ValueError("max_depth must be between 1 and 4")
-        if not 1 <= self.max_branching <= 3:
-            raise ValueError("max_branching must be between 1 and 3")
-        if not 2 <= self.max_weight_denominator <= 8:
-            raise ValueError("max_weight_denominator must be between 2 and 8")
 
     @property
     def labels(self) -> tuple[str, ...]:
         return _LABEL_POOL[: self.alphabet_size]
 
 
-def _random_weights(cfg: GenConfig, rng: random.Random, parts: int) -> list[Fraction]:
-    total = rng.randint(parts, cfg.max_weight_denominator)
-    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
-    bounds = [0] + cuts + [total]
-    return [Fraction(bounds[i + 1] - bounds[i], total) for i in range(parts)]
+def _random_labels(rng: random.Random, labels: tuple[str, ...]) -> list[str]:
+    """The sorted labels of an external choice: one to _MAX_BRANCHING of them."""
+    return sorted(rng.sample(labels, rng.randint(1, min(_MAX_BRANCHING, len(labels)))))
+
+
+def _random_weights(rng: random.Random) -> list[Fraction]:
+    """The weights of a probabilistic choice: two to _MAX_BRANCHING positive
+    fractions over one denominator, summing to one."""
+    parts = rng.randint(2, _MAX_BRANCHING)
+    total = rng.randint(parts, _MAX_WEIGHT_DENOMINATOR)
+    bounds = [0] + sorted(rng.sample(range(1, total), parts - 1)) + [total]
+    return [Fraction(high - low, total) for low, high in zip(bounds, bounds[1:])]
 
 
 def random_term(cfg: GenConfig, rng: random.Random | None = None) -> Term:
@@ -134,13 +141,10 @@ def _random_term(
         return _random_term(cfg, rng, depth - 1, pool, shape)
 
     if kind == "choice":
-        width = rng.randint(1, min(cfg.max_branching, len(labels)))
-        return ExternalChoice(
-            tuple((label, sub()) for label in sorted(rng.sample(labels, width)))
-        )
+        chosen = _random_labels(rng, labels)
+        return ExternalChoice(tuple((label, sub()) for label in chosen))
     if kind == "prob":
-        width = rng.randint(2, max(2, cfg.max_branching))
-        return ProbChoice(tuple((w, sub()) for w in _random_weights(cfg, rng, width)))
+        return ProbChoice(tuple((w, sub()) for w in _random_weights(rng)))
     if kind == "prio":
         return Priority(sub())
     sides = (sub(), sub())
@@ -183,77 +187,49 @@ def random_context(cfg: GenConfig, rng: random.Random, depth: int | None = None)
     )[0]
     if kind == "hole":
         return _Hole()
-    if kind == "choice":
-        width = rng.randint(1, min(cfg.max_branching, len(cfg.labels)))
-        labels = sorted(rng.sample(cfg.labels, width))
-        slot = rng.randrange(width)
-        return ExternalChoice(
-            tuple(
-                (
-                    label,
-                    random_context(cfg, rng, depth - 1)
-                    if i == slot
-                    else _random_term(cfg, rng, depth - 1),
-                )
-                for i, label in enumerate(labels)
-            )
-        )
-    if kind == "prob":
-        width = rng.randint(2, max(2, cfg.max_branching))
-        weights = _random_weights(cfg, rng, width)
-        slot = rng.randrange(width)
-        return ProbChoice(
-            tuple(
-                (
-                    w,
-                    random_context(cfg, rng, depth - 1)
-                    if i == slot
-                    else _random_term(cfg, rng, depth - 1),
-                )
-                for i, w in enumerate(weights)
-            )
-        )
     if kind == "prio":
         return Priority(random_context(cfg, rng, depth - 1))
-    hole_side = random_context(cfg, rng, depth - 1)
-    other = _random_term(cfg, rng, depth - 1)
-    cls = SyncPar if kind == "sync" else SharedPar
-    return cls(hole_side, other) if rng.random() < 0.5 else cls(other, hole_side)
+    if kind in ("sync", "shared"):
+        hole_side = random_context(cfg, rng, depth - 1)
+        other = _random_term(cfg, rng, depth - 1)
+        cls = SyncPar if kind == "sync" else SharedPar
+        return cls(hole_side, other) if rng.random() < 0.5 else cls(other, hole_side)
+    if kind == "choice":
+        cls, keys = ExternalChoice, _random_labels(rng, cfg.labels)
+    else:
+        cls, keys = ProbChoice, _random_weights(rng)
+    slot = rng.randrange(len(keys))
+    return cls(
+        tuple(
+            (
+                key,
+                random_context(cfg, rng, depth - 1)
+                if i == slot
+                else _random_term(cfg, rng, depth - 1),
+            )
+            for i, key in enumerate(keys)
+        )
+    )
 
 
 def prefix_distribution_pair(cfg: GenConfig, rng: random.Random) -> tuple[Term, Term]:
     """Both sides of the prefixed-choice/probabilistic-choice exchange law."""
-    n_actions = rng.randint(1, min(cfg.max_branching, len(cfg.labels)))
-    actions = sorted(rng.sample(cfg.labels, n_actions))
-    n_weights = rng.randint(2, max(2, cfg.max_branching))
-    weights = _random_weights(cfg, rng, n_weights)
-    subterms = {
-        (i, j): _random_term(cfg, rng, max(0, cfg.max_depth - 2))
-        for i in range(n_actions)
-        for j in range(n_weights)
-    }
+    actions = _random_labels(rng, cfg.labels)
+    weights = _random_weights(rng)
+    rows = [
+        [_random_term(cfg, rng, max(0, cfg.max_depth - 2)) for _ in weights]
+        for _ in actions
+    ]
     left = ExternalChoice(
         tuple(
-            (
-                action,
-                ProbChoice(
-                    tuple((w, subterms[(i, j)]) for j, w in enumerate(weights))
-                ),
-            )
-            for i, action in enumerate(actions)
+            (action, ProbChoice(tuple(zip(weights, row))))
+            for action, row in zip(actions, rows)
         )
     )
     right = ProbChoice(
         tuple(
-            (
-                w,
-                ExternalChoice(
-                    tuple(
-                        (action, subterms[(i, j)]) for i, action in enumerate(actions)
-                    )
-                ),
-            )
-            for j, w in enumerate(weights)
+            (w, ExternalChoice(tuple(zip(actions, column))))
+            for w, column in zip(weights, zip(*rows))
         )
     )
     return left, right
@@ -289,9 +265,8 @@ def _aligned_pieces(
 def context_distribution_pair(cfg: GenConfig, rng: random.Random) -> tuple[Term, Term]:
     """Both sides of pulling a probabilistic choice out of a context."""
     context = random_context(cfg, rng, depth=rng.randint(1, max(1, cfg.max_depth - 1)))
-    width = rng.randint(2, max(2, cfg.max_branching))
-    weights = _random_weights(cfg, rng, width)
-    pieces = _aligned_pieces(cfg, rng, width, max(0, cfg.max_depth - 2))
+    weights = _random_weights(rng)
+    pieces = _aligned_pieces(cfg, rng, len(weights), max(0, cfg.max_depth - 2))
     inner = ProbChoice(tuple(zip(weights, pieces)))
     left = fill_context(context, inner)
     right = ProbChoice(
@@ -342,15 +317,77 @@ class CheckReport:
         }
 
 
+def _samples(cfg: GenConfig, n: int):
+    """(index, seed, generator) per sample; a sample replays from its seed."""
+    rng = random.Random(cfg.seed)
+    for index in range(n):
+        seed = rng.getrandbits(64)
+        yield index, seed, random.Random(seed)
+
+
+def _report(name: str, cfg: GenConfig, outcomes) -> CheckReport:
+    """Run a suite's (ok, detail) outcomes into a timed report."""
+    report = CheckReport(name=name, seed=cfg.seed)
+    started = time.monotonic()
+    for ok, detail in outcomes:
+        report.record(ok, detail)
+    report.elapsed_seconds = time.monotonic() - started
+    return report
+
+
+def _equivalence(
+    left: Term, right: Term, order: PriorityOrder, detail: dict
+) -> tuple[bool, dict]:
+    """The outcome of a sample whose two terms must be equivalent."""
+    verdict = ready_trace_equivalent(
+        compile_term(left, order), compile_term(right, order)
+    )
+    detail.update(left=render(left), right=render(right))
+    if not verdict.equivalent:
+        detail["error"] = verdict.describe()
+    return verdict.equivalent, detail
+
+
 def _budget_depth(left: Pts, right: Pts, budget: int = 1500) -> int:
     """Largest test depth whose full enumeration stays within the budget."""
     full = max(left.action_depth, right.action_depth) + 1
+    # The level universes of a smaller depth are a prefix of these, and a
+    # count reads only the levels below its depth.
+    universes = relevant_universes(left, right, full)
     depth = 1
     for candidate in range(1, full + 1):
-        if count_tests(relevant_universes(left, right, candidate), candidate) > budget:
+        if count_tests(universes, candidate) > budget:
             break
         depth = candidate
     return depth
+
+
+def _coincidence_error(
+    left: Pts, right: Pts, equivalent: bool, budget: int, detail: dict
+) -> tuple[str | None, Term | None]:
+    """The error of a coincidence sample, None when it passes, and the test
+    its detail shows; records the testing depth of an equivalent pair."""
+    if equivalent:
+        depth = detail["testing_depth"] = _budget_depth(left, right, budget)
+        verdict = bounded_testing_equivalent(left, right, depth=depth)
+        if verdict.equivalent:
+            return None, None
+        return "testing found a witness for a ready-trace-equivalent pair", verdict.test
+    witness = distinguishing_test(left, right)
+    if witness is None:
+        return "no witness synthesized for a distinguished pair", None
+    if has_prob_choice(witness):
+        return "synthesized witness uses probabilistic choice", witness
+    compiled = compile_term(witness)
+    if apply_test(left, compiled) == apply_test(right, compiled):
+        return "synthesized witness does not distinguish", witness
+    # Enumeration yields tests by exact depth, and the universes of a smaller
+    # depth are a prefix of these, so this finds the same first
+    # distinguishing test as searching each depth up to the witness's.
+    found = bounded_testing_equivalent(left, right, depth=term_action_depth(witness))
+    if found.equivalent:
+        return "enumeration found no witness up to the synthesized depth", witness
+    return None, found.test
 
 
 def check_coincidence(
@@ -361,156 +398,88 @@ def check_coincidence(
     Distinguished pairs must additionally yield a synthesized witness test
     with no probabilistic branching whose outcomes verifiably differ.
     """
-    rng = random.Random(cfg.seed)
-    report = CheckReport(name="coincidence", seed=cfg.seed)
-    started = time.monotonic()
-
     pinned = [
         (parse_term(COIN_MACHINE_EARLY), parse_term(COIN_MACHINE_LATE)),
         (parse_term(MIXED_FOLLOWUP_FIRST), parse_term(MIXED_FOLLOWUP_SECOND)),
     ]
 
-    for index in range(n_samples):
-        sample_seed = rng.getrandbits(64)
-        sub = random.Random(sample_seed)
-        order = random_priority_order(cfg, sub)
-        if index < len(pinned):
-            left_term, right_term = pinned[index]
-        elif index % 2 == 0:
-            left_term, right_term = equivalent_pair(cfg, sub)
-        else:
-            left_term = _random_term(cfg, sub, cfg.max_depth)
-            right_term = _random_term(cfg, sub, cfg.max_depth)
-        left = compile_term(left_term, order)
-        right = compile_term(right_term, order)
+    def outcomes():
+        for index, seed, sub in _samples(cfg, n_samples):
+            order = random_priority_order(cfg, sub)
+            if index < len(pinned):
+                left_term, right_term = pinned[index]
+            elif index % 2 == 0:
+                left_term, right_term = equivalent_pair(cfg, sub)
+            else:
+                left_term = _random_term(cfg, sub, cfg.max_depth)
+                right_term = _random_term(cfg, sub, cfg.max_depth)
+            left = compile_term(left_term, order)
+            right = compile_term(right_term, order)
+            equivalent = ready_trace_equivalent(left, right).equivalent
+            detail = {
+                "sample_seed": seed,
+                "left": render(left_term),
+                "right": render(right_term),
+                "ready_trace_equivalent": equivalent,
+            }
+            error, test = _coincidence_error(left, right, equivalent, budget, detail)
+            if error is not None:
+                detail["error"] = error
+            if test is not None:
+                detail["witness"] = render(test)
+            yield error is None, detail
 
-        trace_verdict = ready_trace_equivalent(left, right)
-        detail = {
-            "sample_seed": sample_seed,
-            "left": render(left_term),
-            "right": render(right_term),
-            "ready_trace_equivalent": trace_verdict.equivalent,
-        }
-        if trace_verdict.equivalent:
-            depth = _budget_depth(left, right, budget)
-            test_verdict = bounded_testing_equivalent(left, right, depth=depth)
-            detail["testing_depth"] = depth
-            if not test_verdict.equivalent:
-                detail["error"] = "testing found a witness for a ready-trace-equivalent pair"
-                detail["witness"] = render(test_verdict.test)
-                report.record(False, detail)
-                continue
-            report.record(True, detail)
-        else:
-            witness = distinguishing_test(left, right)
-            if witness is None:
-                detail["error"] = "no witness synthesized for a distinguished pair"
-                report.record(False, detail)
-                continue
-            if has_prob_choice(witness):
-                detail["error"] = "synthesized witness uses probabilistic choice"
-                detail["witness"] = render(witness)
-                report.record(False, detail)
-                continue
-            compiled = compile_term(witness)
-            if apply_test(left, compiled) == apply_test(right, compiled):
-                detail["error"] = "synthesized witness does not distinguish"
-                detail["witness"] = render(witness)
-                report.record(False, detail)
-                continue
-            # Enumeration yields tests by exact depth, and the universes of a
-            # smaller depth are a prefix of these, so this finds the same first
-            # distinguishing test as searching each depth up to the witness's.
-            found = bounded_testing_equivalent(
-                left, right, depth=term_action_depth(witness)
-            )
-            if found.equivalent:
-                detail["error"] = "enumeration found no witness up to the synthesized depth"
-                detail["witness"] = render(witness)
-                report.record(False, detail)
-                continue
-            detail["witness"] = render(found.test)
-            report.record(True, detail)
-
-    report.elapsed_seconds = time.monotonic() - started
-    return report
+    return _report("coincidence", cfg, outcomes())
 
 
 def check_congruence(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
     """Equivalent processes must stay equivalent inside random contexts."""
-    rng = random.Random(cfg.seed)
-    report = CheckReport(name="congruence", seed=cfg.seed)
-    started = time.monotonic()
 
-    for index in range(n_samples):
-        sample_seed = rng.getrandbits(64)
-        sub = random.Random(sample_seed)
-        if index == 0:
-            left_term = parse_term(PREFIX_DISTRIB_LEFT)
-            right_term = parse_term(PREFIX_DISTRIB_RIGHT)
-            context = SharedPar(_Hole(), parse_term(PREFIX_DISTRIB_PEER))
-            order = EMPTY_ORDER
-        else:
-            left_term, right_term = equivalent_pair(cfg, sub)
-            context = random_context(cfg, sub, depth=sub.randint(0, cfg.max_depth - 1))
-            order = random_priority_order(cfg, sub)
-        wrapped_left = fill_context(context, left_term)
-        wrapped_right = fill_context(context, right_term)
-        verdict = ready_trace_equivalent(
-            compile_term(wrapped_left, order), compile_term(wrapped_right, order)
-        )
-        detail = {
-            "sample_seed": sample_seed,
-            "left": render(wrapped_left),
-            "right": render(wrapped_right),
-        }
-        if not verdict.equivalent:
-            detail["error"] = verdict.describe()
-        report.record(verdict.equivalent, detail)
+    def outcomes():
+        for index, seed, sub in _samples(cfg, n_samples):
+            if index == 0:
+                left = parse_term(PREFIX_DISTRIB_LEFT)
+                right = parse_term(PREFIX_DISTRIB_RIGHT)
+                context = SharedPar(_Hole(), parse_term(PREFIX_DISTRIB_PEER))
+                order = EMPTY_ORDER
+            else:
+                left, right = equivalent_pair(cfg, sub)
+                depth = sub.randint(0, cfg.max_depth - 1)
+                context = random_context(cfg, sub, depth)
+                order = random_priority_order(cfg, sub)
+            yield _equivalence(
+                fill_context(context, left),
+                fill_context(context, right),
+                order,
+                {"sample_seed": seed},
+            )
 
-    report.elapsed_seconds = time.monotonic() - started
-    return report
+    return _report("congruence", cfg, outcomes())
 
 
 def check_distributivity(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
-    """Probabilistic choice must commute with prefixing and with contexts."""
-    rng = random.Random(cfg.seed)
-    report = CheckReport(name="distributivity", seed=cfg.seed)
-    started = time.monotonic()
+    """Probabilistic choice must commute with prefixing and with contexts.
 
+    After three pinned pairs, the first n_samples seeds go to the prefix law
+    and the next n_samples to the context law.
+    """
     pinned = [
-        (parse_term("a->p{1/2:b, 1/2:c}"), parse_term("p{1/2:a->b, 1/2:a->c}")),
-        (parse_term("p{1:a->b}"), parse_term("a->b")),
-        (parse_term(COIN_MACHINE_LATE), parse_term(COIN_MACHINE_EARLY)),
+        ("a->p{1/2:b, 1/2:c}", "p{1/2:a->b, 1/2:a->c}"),
+        ("p{1:a->b}", "a->b"),
+        (COIN_MACHINE_LATE, COIN_MACHINE_EARLY),
     ]
-    for left_term, right_term in pinned:
-        verdict = ready_trace_equivalent(compile_term(left_term), compile_term(right_term))
-        detail = {"left": render(left_term), "right": render(right_term)}
-        if not verdict.equivalent:
-            detail["error"] = verdict.describe()
-        report.record(verdict.equivalent, detail)
 
-    for builder in (prefix_distribution_pair, context_distribution_pair):
-        for _ in range(n_samples):
-            sample_seed = rng.getrandbits(64)
-            sub = random.Random(sample_seed)
-            left_term, right_term = builder(cfg, sub)
-            order = random_priority_order(cfg, sub)
-            verdict = ready_trace_equivalent(
-                compile_term(left_term, order), compile_term(right_term, order)
-            )
-            detail = {
-                "sample_seed": sample_seed,
-                "law": builder.__name__,
-                "left": render(left_term),
-                "right": render(right_term),
-            }
-            if not verdict.equivalent:
-                detail["error"] = verdict.describe()
-            report.record(verdict.equivalent, detail)
+    def outcomes():
+        for left, right in pinned:
+            yield _equivalence(parse_term(left), parse_term(right), EMPTY_ORDER, {})
+        seeds = _samples(cfg, 2 * n_samples)
+        for law in (prefix_distribution_pair, context_distribution_pair):
+            for _, seed, sub in islice(seeds, n_samples):
+                left, right = law(cfg, sub)
+                detail = {"sample_seed": seed, "law": law.__name__}
+                yield _equivalence(left, right, random_priority_order(cfg, sub), detail)
 
-    report.elapsed_seconds = time.monotonic() - started
-    return report
+    return _report("distributivity", cfg, outcomes())
 
 
 def raw_trace_probability(pts: Pts, trace: ReadyTrace) -> Fraction:
@@ -536,6 +505,38 @@ def raw_trace_probability(pts: Pts, trace: ReadyTrace) -> Fraction:
     return go(pts.root, 0)
 
 
+def _axiom_problems(pts: Pts, max_menus: int) -> list[str]:
+    """Every violated distribution law over the traces of up to max_menus menus."""
+    problems: list[str] = []
+    table = pts.positions
+
+    def check_position(pos, prefix_menus, prefix_actions):
+        dist = table.distribution(pos)
+        total = sum(dist.values(), Fraction(0))
+        if total != 1:
+            problems.append(f"menu distribution sums to {total} after {prefix_actions}")
+        if any(not (0 < p <= 1) for p in dist.values()):
+            problems.append(f"menu probability outside (0,1] after {prefix_actions}")
+        for menu, p in sorted(dist.items(), key=lambda kv: str(kv[0])):
+            trace = ReadyTrace(prefix_menus + (menu,), prefix_actions)
+            joint = trace_probability(pts, trace)
+            brute = raw_trace_probability(pts, trace)
+            if joint is UNDEFINED or joint != brute:
+                problems.append(
+                    f"trace {trace.render()}: chained {joint} vs brute-force {brute}"
+                )
+            if len(trace.menus) < max_menus:
+                for action in sorted(menu):
+                    check_position(
+                        table.child(pos, menu, action),
+                        trace.menus,
+                        prefix_actions + (action,),
+                    )
+
+    check_position(table.start(pts.root), (), ())
+    return problems
+
+
 def check_probability_axioms(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
     """Distribution laws of the observation probabilities, per sampled term.
 
@@ -543,50 +544,18 @@ def check_probability_axioms(cfg: GenConfig, n_samples: int = 200) -> CheckRepor
     each conditional layer renormalizes to one, and that the chained trace
     probability equals the brute-force joint walk exactly.
     """
-    rng = random.Random(cfg.seed)
-    report = CheckReport(name="probability_axioms", seed=cfg.seed)
-    started = time.monotonic()
 
-    for _ in range(n_samples):
-        sample_seed = rng.getrandbits(64)
-        sub = random.Random(sample_seed)
-        term = _random_term(cfg, sub, cfg.max_depth)
-        pts = compile_term(term, random_priority_order(cfg, sub))
-        detail = {"sample_seed": sample_seed, "term": render(term)}
-        problems: list[str] = []
+    def outcomes():
+        for _, seed, sub in _samples(cfg, n_samples):
+            term = _random_term(cfg, sub, cfg.max_depth)
+            pts = compile_term(term, random_priority_order(cfg, sub))
+            detail = {"sample_seed": seed, "term": render(term)}
+            problems = _axiom_problems(pts, cfg.max_depth + 1)
+            if problems:
+                detail["error"] = problems[:5]
+            yield not problems, detail
 
-        table = pts.positions
-
-        def check_position(pos, prefix_menus, prefix_actions):
-            dist = table.distribution(pos)
-            total = sum(dist.values(), Fraction(0))
-            if total != 1:
-                problems.append(f"menu distribution sums to {total} after {prefix_actions}")
-            if any(not (0 < p <= 1) for p in dist.values()):
-                problems.append(f"menu probability outside (0,1] after {prefix_actions}")
-            for menu, p in sorted(dist.items(), key=lambda kv: str(kv[0])):
-                trace = ReadyTrace(prefix_menus + (menu,), prefix_actions)
-                joint = trace_probability(pts, trace)
-                brute = raw_trace_probability(pts, trace)
-                if joint is UNDEFINED or joint != brute:
-                    problems.append(
-                        f"trace {trace.render()}: chained {joint} vs brute-force {brute}"
-                    )
-                if len(prefix_menus) + 1 < cfg.max_depth + 1:
-                    for action in sorted(menu):
-                        check_position(
-                            table.child(pos, menu, action),
-                            prefix_menus + (menu,),
-                            prefix_actions + (action,),
-                        )
-
-        check_position(table.start(pts.root), (), ())
-        if problems:
-            detail["error"] = problems[:5]
-        report.record(not problems, detail)
-
-    report.elapsed_seconds = time.monotonic() - started
-    return report
+    return _report("probability_axioms", cfg, outcomes())
 
 
 def random_ratfunc(cfg: GenConfig, rng: random.Random, depth: int = 3) -> RationalFn:
@@ -614,47 +583,37 @@ def check_symbolic_numeric(
     cfg: GenConfig, n_pairs: int = 1000, points_per_pair: int = 100
 ) -> CheckReport:
     """Symbolic equality must match exact evaluation at random positive points."""
-    rng = random.Random(cfg.seed)
-    report = CheckReport(name="symbolic_numeric", seed=cfg.seed)
-    started = time.monotonic()
 
-    for index in range(n_pairs):
-        sample_seed = rng.getrandbits(64)
-        sub = random.Random(sample_seed)
-        f = random_ratfunc(cfg, sub)
-        if index % 2 == 0:
-            g = random_ratfunc(cfg, sub)
-        else:
-            # Same function in a different shape: multiply by q/q.
-            q = random_ratfunc(cfg, sub, depth=2)
-            if q.is_zero():
-                q = RationalFn.one()
-            g = (f * q) / q
-        names = sorted(f.variables() | g.variables())
-        symbolically_equal = f == g
-        detail = {"sample_seed": sample_seed, "f": str(f), "g": str(g)}
-        agree = True
-        found_difference = False
-        for _ in range(points_per_pair):
-            point = {
-                name: Fraction(sub.randint(1, 40), sub.randint(1, 40))
-                for name in names
-            }
-            fv, gv = f.evaluate(point), g.evaluate(point)
-            if symbolically_equal and fv != gv:
-                agree = False
-                detail["error"] = f"equal functions differ at {point}"
-                break
-            if not symbolically_equal and fv != gv:
-                found_difference = True
-                break
-        if not symbolically_equal and not found_difference:
-            agree = False
-            detail["error"] = "no distinguishing point found for unequal functions"
-        report.record(agree, detail)
+    def outcomes():
+        for index, seed, sub in _samples(cfg, n_pairs):
+            f = random_ratfunc(cfg, sub)
+            if index % 2 == 0:
+                g = random_ratfunc(cfg, sub)
+            else:
+                # Same function in a different shape: multiply by q/q.
+                q = random_ratfunc(cfg, sub, depth=2)
+                if q.is_zero():
+                    q = RationalFn.one()
+                g = (f * q) / q
+            names = sorted(f.variables() | g.variables())
+            equal = f == g
+            detail = {"sample_seed": seed, "f": str(f), "g": str(g)}
+            differs_at = None
+            for _ in range(points_per_pair):
+                point = {
+                    name: Fraction(sub.randint(1, 40), sub.randint(1, 40))
+                    for name in names
+                }
+                if f.evaluate(point) != g.evaluate(point):
+                    differs_at = point
+                    break
+            if equal and differs_at is not None:
+                detail["error"] = f"equal functions differ at {differs_at}"
+            elif not equal and differs_at is None:
+                detail["error"] = "no distinguishing point found for unequal functions"
+            yield "error" not in detail, detail
 
-    report.elapsed_seconds = time.monotonic() - started
-    return report
+    return _report("symbolic_numeric", cfg, outcomes())
 
 
 # The suites by name, in report order; the command line offers these names.

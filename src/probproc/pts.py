@@ -108,11 +108,12 @@ class Pts:
     @cached_property
     def _order(self) -> tuple[int, ...] | None:
         """Every state, each after all of its successors, by an iterative
-        post-order over every edge; None on a cycle, reachable or not."""
+        post-order over every edge; None on a cycle, reachable or not.
+        Raises ValueError on an edge to or from a state not in `kinds`."""
         successors: dict[int, list[int]] = {state: [] for state in self.kinds}
-        for src, _, dst in self.action_edges:
-            successors[src].append(dst)
-        for src, _, dst in self.prob_edges:
+        for src, via, dst in self.action_edges + self.prob_edges:
+            if src not in successors or dst not in successors:
+                raise ValueError(f"edge ({src},{via},{dst}) uses unknown state")
             successors[src].append(dst)
         order: list[int] = []
         done: set[int] = set()
@@ -129,7 +130,7 @@ class Pts:
                         return None
                     if dst not in done:
                         active.add(dst)
-                        stack.append((dst, iter(successors.get(dst, ()))))
+                        stack.append((dst, iter(successors[dst])))
                         break
                 else:
                     stack.pop()

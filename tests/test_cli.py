@@ -194,3 +194,23 @@ def test_composition_warning_goes_to_stderr(capsys):
     )
     assert code == 0
     assert "associative" in err
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Start-up hooks may load third-party modules before the package is
+    # imported, so only the modules the import adds count.
+    src = str(Path(probproc.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import probproc, probproc.cli, probproc.harness\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'probproc'}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -24,11 +24,14 @@ from probproc.harness import (
     raw_trace_probability,
     run_checks,
 )
-from probproc.parser import parse_term
+from probproc.parser import parse_term, parse_test
 from probproc.pts import validate
+from probproc.ratfunc import RationalFn
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import compile_term
 from probproc.terms import Empty, ProbChoice, render
+# Renamed so that pytest does not take it for a test class.
+from probproc.testing import TestVerdict as Verdict
 
 
 def test_config_bounds_validated():
@@ -36,10 +39,6 @@ def test_config_bounds_validated():
         GenConfig(alphabet_size=5)
     with pytest.raises(ValueError):
         GenConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        GenConfig(max_branching=4)
-    with pytest.raises(ValueError):
-        GenConfig(max_weight_denominator=9)
 
 
 def test_same_seed_reproduces_the_same_term():
@@ -246,3 +245,83 @@ def test_coincidence_details_are_pinned(monkeypatch):
     assert _sha256(details) == (
         "14e05a5831ab5c21bc397ef3888354f26c137d46bd32310b22ccd0899390e852"
     )
+
+
+def _verdict(equivalent: bool, test: str | None = None):
+    return lambda left, right, depth=None: Verdict(
+        equivalent, depth, None if test is None else parse_test(test)
+    )
+
+
+@pytest.mark.parametrize(
+    "target, fake, failing_sample, error, witness",
+    [
+        (
+            "bounded_testing_equivalent",
+            _verdict(False, "h->w"),
+            0,
+            "testing found a witness for a ready-trace-equivalent pair",
+            "h->w",
+        ),
+        (
+            "distinguishing_test",
+            lambda left, right: None,
+            1,
+            "no witness synthesized for a distinguished pair",
+            None,
+        ),
+        (
+            "distinguishing_test",
+            lambda left, right: parse_test("p{1/2:a->w, 1/2:b->w}"),
+            1,
+            "synthesized witness uses probabilistic choice",
+            "p{1/2:a->w, 1/2:b->w}",
+        ),
+        (
+            "distinguishing_test",
+            lambda left, right: parse_test("e->w"),
+            1,
+            "synthesized witness does not distinguish",
+            "e->w",
+        ),
+        (
+            "bounded_testing_equivalent",
+            _verdict(True),
+            1,
+            "enumeration found no witness up to the synthesized depth",
+            "b->(a->w [] b->w [] d->w [] e->w) [] e->w",
+        ),
+    ],
+)
+def test_coincidence_reports_each_failure(
+    monkeypatch, target, fake, failing_sample, error, witness
+):
+    """Sample 0 is the equivalent coin pair, sample 1 the distinguished
+    mixed pair; each fake breaks one step so exactly one sample fails.  The
+    last fake denies the synthesized witness, which the detail then shows."""
+    from probproc import harness
+
+    monkeypatch.setattr(harness, target, fake)
+    cfg = GenConfig(alphabet_size=2, max_depth=3, seed=1)
+    report = check_coincidence(cfg, n_samples=2)
+    assert (report.samples, report.passes) == (2, 1)
+    (detail,) = report.failures
+    assert detail["ready_trace_equivalent"] is (failing_sample == 0)
+    assert detail["error"] == error
+    assert detail.get("witness") == witness
+
+
+@pytest.mark.parametrize(
+    "equal, error",
+    [
+        (True, "equal functions differ at "),
+        (False, "no distinguishing point found for unequal functions"),
+    ],
+)
+def test_symbolic_numeric_reports_each_failure(monkeypatch, equal, error):
+    monkeypatch.setattr(RationalFn, "__eq__", lambda self, other: equal)
+    report = check_symbolic_numeric(GenConfig(seed=3), n_pairs=6, points_per_pair=20)
+    assert not report.ok
+    for detail in report.failures:
+        assert detail["error"].startswith(error)
+        assert "witness" not in detail

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from probproc.pts import (
     tree_signature,
     validate,
 )
-from probproc.readytrace import iter_ready_traces
+from probproc.readytrace import iter_ready_traces, ready_trace_equivalent
 from probproc.semantics import compile_term
 from probproc.testing import apply_test, bounded_testing_equivalent, distinguishing_test
 
@@ -131,6 +132,29 @@ def test_every_graph_operation_refuses_a_cycle(cyclic):
     ]
     for refusal in refusals:
         with pytest.raises(CyclicGraphError):
+            refusal()
+
+
+# Each graph has one action edge, named by its key, with an end not in `kinds`.
+_UNKNOWN_ENDS = {
+    "(0,a,7)": Pts.build({"a"}, {0: "n"}, [(0, "a", 7)], [], 0),
+    "(5,a,0)": Pts.build({"a"}, {0: "n"}, [(5, "a", 0)], [], 0),
+}
+
+
+@pytest.mark.parametrize("edge", _UNKNOWN_ENDS)
+def test_graph_operations_refuse_an_edge_to_an_unknown_state(edge):
+    dangling = _UNKNOWN_ENDS[edge]
+    assert validate(dangling) == [f"action edge {edge} uses unknown state"]
+    refusals = [
+        lambda: dangling.is_acyclic,
+        lambda: dangling.action_depth,
+        lambda: ready_trace_equivalent(dangling, dangling),
+        lambda: bounded_testing_equivalent(dangling, coin_machine()),
+    ]
+    message = re.escape(f"edge {edge} uses unknown state")
+    for refusal in refusals:
+        with pytest.raises(ValueError, match=message):
             refusal()
 
 
