@@ -166,7 +166,7 @@ def random_priority_order(cfg: GenConfig, rng: random.Random) -> PriorityOrder:
 
 @dataclass(frozen=True)
 class _Hole:
-    pass
+    _shared = 0  # read by the term constructors around it
 
 
 def fill_context(context, replacement: Term) -> Term:

@@ -52,11 +52,12 @@ class _Shared:
     right: object
     sync: frozenset[str]
 
-    __slots__ = ("left", "right", "sync", "_hash")
+    __slots__ = ("left", "right", "sync", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
-        _store_hash(self, self.left, self.right, self.sync)
+        shared = 1 + self.left._shared + self.right._shared
+        _store_hash(self, shared, self.left, self.right, self.sync)
 
 
 def _pin_sync_sets(term: Term):
@@ -64,12 +65,16 @@ def _pin_sync_sets(term: Term):
     term's alphabet.
 
     Each |[]| takes its operands' alphabets from this same walk, so a chain
-    of compositions is visited once rather than once per |[]| above it.
+    of compositions is visited once rather than once per |[]| above it.  A
+    subterm without |[]| is returned as it is, with its alphabet, so the walk
+    descends only along paths that lead to a |[]|.
     """
     if isinstance(term, SharedPar):
         left, left_labels = _pin_sync_sets(term.left)
         right, right_labels = _pin_sync_sets(term.right)
         return _Shared(left, right, left_labels & right_labels), left_labels | right_labels
+    if not isinstance(term, (ExternalChoice, ProbChoice, Priority, SyncPar)) or not term._shared:
+        return term, alphabet(term)  # alphabet refuses what is not a term
     labels: set[str] = set()
     if isinstance(term, ExternalChoice):
         labels.update(label for label, _ in term.branches if label != OMEGA)
@@ -89,8 +94,11 @@ class _Compiler:
         self._action_cache: dict[object, dict[str, object]] = {}
 
     def prob_steps(self, node) -> tuple[tuple[Fraction, object], ...]:
-        if node in self._prob_cache:
-            return self._prob_cache[node]
+        if isinstance(node, ExternalChoice):  # the commonest node, never weighted
+            return ()
+        cached = self._prob_cache.get(node)
+        if cached is not None:
+            return cached
         out: list[tuple[Fraction, object]] = []
         if isinstance(node, ProbChoice):
             for weight, sub in node.branches:
@@ -124,8 +132,9 @@ class _Compiler:
         return result
 
     def action_steps(self, node) -> dict[str, object]:
-        if node in self._action_cache:
-            return self._action_cache[node]
+        cached = self._action_cache.get(node)
+        if cached is not None:
+            return cached
         out: dict[str, object] = {}
         if isinstance(node, ExternalChoice):
             out = dict(node.branches)
@@ -171,17 +180,17 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     kinds: dict[int, str] = {}
     action_edges: list[tuple[int, str, int]] = []
     prob_edges: list[tuple[int, Fraction, int]] = []
-    queue = deque([root])
+    queue = deque([(root, 0)])
 
     def intern(node) -> int:
-        if node not in ids:
-            ids[node] = len(ids)
-            queue.append(node)
-        return ids[node]
+        state = ids.get(node)
+        if state is None:
+            state = ids[node] = len(ids)
+            queue.append((node, state))
+        return state
 
     while queue:
-        node = queue.popleft()
-        state = ids[node]
+        node, state = queue.popleft()
         weighted = compiler.prob_steps(node)
         if weighted:
             kinds[state] = "p"
@@ -214,6 +223,8 @@ def composition_warnings(term: Term) -> list[str]:
     stack = [(term, False)]
     while stack:
         node, under_shared = stack.pop()
+        if node._shared < 2:  # a chain of three components has two |[]|
+            continue
         if isinstance(node, SharedPar) and not under_shared:
             warnings.extend(_chain_warnings(node))
         inside = isinstance(node, SharedPar)

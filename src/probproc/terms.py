@@ -14,7 +14,10 @@ as a choice branch (its continuation is always Empty).  Ordinary process
 terms must not mention "w".  Structural equality and hashing follow the
 dataclass fields, so syntactically equal subterms are interchangeable.  Each
 composite term stores its hash in a slot when it is built, from the hashes
-its subterms stored, so hashing takes constant time at any depth.
+its subterms stored, so hashing takes constant time at any depth.  Beside
+the hash it stores `_shared`, the number of |[]| nodes it contains, so a
+walk that only matters around |[]| can pass over a subterm without entering
+it.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from .pts import OMEGA
 Term = Union["Empty", "ExternalChoice", "ProbChoice", "Priority", "SyncPar", "SharedPar"]
 
 
-def _store_hash(term, *fields) -> None:
-    """Record the hash the dataclass would compute from these fields."""
+def _store_hash(term, shared: int, *fields) -> None:
+    """Record the hash the dataclass would compute from these fields, and
+    the number of |[]| nodes the term contains."""
     object.__setattr__(term, "_hash", hash(fields))
+    object.__setattr__(term, "_shared", shared)
 
 
 def _stored_hash(term) -> int:
@@ -40,30 +45,35 @@ def _stored_hash(term) -> int:
 
 @dataclass(frozen=True)
 class Empty:
-    pass
+    _shared = 0
 
 
 @dataclass(frozen=True)
 class ExternalChoice:
     branches: tuple[tuple[str, Term], ...]
 
-    __slots__ = ("branches", "_hash")
+    __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
-        labels = [label for label, _ in self.branches]
+        labels = set()
+        shared = 0
+        for label, sub in self.branches:
+            labels.add(label)
+            shared += sub._shared
         if not labels:
             raise ValueError("external choice needs at least one branch")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate branch labels in {labels}")
-        _store_hash(self, self.branches)
+        if len(labels) != len(self.branches):
+            listed = [label for label, _ in self.branches]
+            raise ValueError(f"duplicate branch labels in {listed}")
+        _store_hash(self, shared, self.branches)
 
 
 @dataclass(frozen=True)
 class ProbChoice:
     branches: tuple[tuple[Fraction, Term], ...]
 
-    __slots__ = ("branches", "_hash")
+    __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
@@ -72,27 +82,28 @@ class ProbChoice:
         # In integers: each weight n/d lies in (0,1] when 0 < n <= d, and the
         # weights sum to one when their numerators over the lcm do.
         common = lcm(*(weight.denominator for weight, _ in self.branches))
-        scaled = 0
-        for weight, _ in self.branches:
+        scaled = shared = 0
+        for weight, sub in self.branches:
             numerator, denominator = weight.numerator, weight.denominator
             if not 0 < numerator <= denominator:
                 raise ValueError(f"weight {weight} is outside (0,1]")
             scaled += numerator * (common // denominator)
+            shared += sub._shared
         if scaled != common:
             total = sum(weight for weight, _ in self.branches)
             raise ValueError(f"weights sum to {total}, not 1")
-        _store_hash(self, self.branches)
+        _store_hash(self, shared, self.branches)
 
 
 @dataclass(frozen=True)
 class Priority:
     body: Term
 
-    __slots__ = ("body", "_hash")
+    __slots__ = ("body", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
-        _store_hash(self, self.body)
+        _store_hash(self, self.body._shared, self.body)
 
 
 @dataclass(frozen=True)
@@ -100,11 +111,11 @@ class SyncPar:
     left: Term
     right: Term
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
-        _store_hash(self, self.left, self.right)
+        _store_hash(self, self.left._shared + self.right._shared, self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,11 @@ class SharedPar:
     left: Term
     right: Term
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "_hash", "_shared")
     __hash__ = _stored_hash
 
     def __post_init__(self):
-        _store_hash(self, self.left, self.right)
+        _store_hash(self, 1 + self.left._shared + self.right._shared, self.left, self.right)
 
 
 def prefix(label: str, body: Term | None = None) -> ExternalChoice:
@@ -179,14 +190,29 @@ def subterms(term: Term) -> Iterator[Term]:
 
 
 def alphabet(term: Term) -> frozenset[str]:
-    """Action labels occurring syntactically in the term; excludes "w"."""
-    return frozenset(
-        label
-        for node in subterms(term)
-        if isinstance(node, ExternalChoice)
-        for label, _ in node.branches
-        if label != OMEGA
-    )
+    """Action labels occurring syntactically in the term; excludes "w".
+
+    One loop over an explicit stack, so any depth is fine.
+    """
+    labels: set[str] = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ExternalChoice):
+            for label, sub in node.branches:
+                labels.add(label)
+                stack.append(sub)
+        elif isinstance(node, ProbChoice):
+            stack.extend(sub for _, sub in node.branches)
+        elif isinstance(node, Priority):
+            stack.append(node.body)
+        elif isinstance(node, (SyncPar, SharedPar)):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif not isinstance(node, Empty):
+            raise TypeError(f"not a term: {node!r}")
+    labels.discard(OMEGA)
+    return frozenset(labels)
 
 
 def shared_alphabet(left: Term, right: Term) -> frozenset[str]:

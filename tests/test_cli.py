@@ -155,6 +155,31 @@ def test_internal_error_exits_2_with_one_line(capsys):
     assert err.startswith("error: ")
 
 
+def test_deep_prefix_chains_get_answers_from_every_command():
+    # A |[]|-free term is compiled without a recursive walk, so a 400-deep
+    # prefix chain is answered by each command.  A fresh interpreter keeps
+    # the test runner's own frames off the stack.
+    src = str(Path(probproc.__file__).resolve().parents[1])
+    deep = "a->" * 400 + "0"
+    other = "a->" * 399 + "b->0"
+    commands = [
+        (["equiv", deep, other], 1),
+        (["distinguish", deep, other], 1),
+        (["compile", deep], 0),
+        (["res", deep, "a->" * 400 + "w"], 0),
+        (["trace-prob", deep, "--trace", "{a} -a-> {a}"], 0),
+        (["equiv", deep, other, "--method", "testing"], 1),
+    ]
+    for argv, code in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "probproc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (argv[0], done.returncode, done.stderr) == (argv[0], code, "")
+
+
 def test_interleaving_clash_is_refused_also_without_asserts():
     # Both operands of |[]| offer w unsynchronized; under python -O a bare
     # assert would vanish and one w would silently replace the other.

@@ -3,16 +3,33 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 from probproc.fixtures import GAME_GUESSER, GAME_TOSSER
 from probproc import semantics, terms
-from probproc.harness import GenConfig, random_priority_order, random_term
+from probproc.harness import (
+    GenConfig,
+    fill_context,
+    random_context,
+    random_priority_order,
+    random_term,
+)
 from probproc.parser import parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
-from probproc.terms import Priority, SharedPar, SyncPar, alphabet, prefix, subterms
+from probproc.terms import (
+    ExternalChoice,
+    Priority,
+    ProbChoice,
+    SharedPar,
+    SyncPar,
+    alphabet,
+    children,
+    prefix,
+    subterms,
+)
 
 F = Fraction
 
@@ -269,6 +286,81 @@ def test_composition_warnings_match_the_scan_of_every_triple():
         assert composition_warnings(_random_chain(parts, rng)) == expected
         seen += len(expected)
     assert seen > 100
+
+
+def _unpruned_composition_warnings(term):
+    """composition_warnings entering every subterm, however few |[]| it has."""
+    warnings = []
+    stack = [(term, False)]
+    while stack:
+        node, under_shared = stack.pop()
+        if isinstance(node, SharedPar) and not under_shared:
+            warnings.extend(semantics._chain_warnings(node))
+        inside = isinstance(node, SharedPar)
+        stack.extend((child, inside) for child in reversed(children(node)))
+    return warnings
+
+
+def _generated_alphabet(term):
+    return frozenset(
+        label
+        for node in subterms(term)
+        if isinstance(node, ExternalChoice)
+        for label, _ in node.branches
+        if label != OMEGA
+    )
+
+
+def _fast_path_corpus():
+    """Random terms and filled contexts, and |[]| chains nested under every
+    operator and inside the components of other chains."""
+    rng = random.Random(13)
+    configs = [GenConfig(2, 2, seed=1), GenConfig(3, 3, seed=2), GenConfig(4, 4, seed=3)]
+    for cfg in configs:
+        for _ in range(150):
+            yield random_term(cfg, rng)
+            yield fill_context(random_context(cfg, rng), random_term(cfg, rng))
+    part_cfg = GenConfig(alphabet_size=3, max_depth=2, seed=4)
+    for _ in range(150):
+        parts = [random_term(part_cfg, rng) for _ in range(rng.randint(2, 6))]
+        chain = _random_chain(parts, rng)
+        other = random_term(part_cfg, rng)
+        half = F(1, 2)
+        yield prefix("a", chain)
+        yield ProbChoice(((half, chain), (half, other)))
+        yield SyncPar(other, chain)
+        yield Priority(chain)
+        yield _random_chain([other, prefix("b", chain), *parts], rng)
+
+
+def test_fast_paths_match_their_references_on_a_seeded_corpus():
+    warned = free = 0
+    for term in _fast_path_corpus():
+        for node in subterms(term):
+            assert node._shared == sum(isinstance(sub, SharedPar) for sub in subterms(node))
+            assert alphabet(node) == _generated_alphabet(node)
+            assert _pin_sync_sets(node)[1] == alphabet(node)
+            if not node._shared:
+                free += 1
+                assert _pin_sync_sets(node)[0] is node
+        warnings = composition_warnings(term)
+        assert warnings == _unpruned_composition_warnings(term)
+        warned += bool(warnings)
+    assert warned > 300 and free > 10_000
+
+
+def test_building_a_long_shared_chain_stays_small():
+    # Facts stored per node must take constant space: a set of labels on
+    # every node of a chain grows with the square of its length.
+    tracemalloc.start()
+    try:
+        chain = prefix("a0")
+        for i in range(1, 2_000):
+            chain = SharedPar(chain, prefix(f"a{i}", prefix(f"a{i - 1}")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_composition_warnings_handle_a_long_chain():
