@@ -247,6 +247,40 @@ def test_coincidence_details_are_pinned(monkeypatch):
     )
 
 
+def test_symbolic_numeric_details_are_pinned(monkeypatch):
+    """Every symbolic/numeric detail replays byte for byte.
+
+    With `==` forced to True, each unequal pair fails and prints the first
+    point at which its two functions differ, so the second digest also pins
+    the order of the coordinate draws and the exact evaluation at them.
+    """
+    details: list[str] = []
+    record = CheckReport.record
+
+    def logging_record(self, ok, detail):
+        details.append(json.dumps([ok, detail], sort_keys=True))
+        record(self, ok, detail)
+
+    monkeypatch.setattr(CheckReport, "record", logging_record)
+    configs = (GenConfig(seed=2009), GenConfig(3, 3, seed=1212))
+    for cfg in configs:
+        assert check_symbolic_numeric(cfg, n_pairs=200).ok
+    assert len(details) == 400
+    assert _sha256(details) == (
+        "ce02cd339f5eab72917dfc71973042b3936e457d8d293915751582ba237a3d24"
+    )
+
+    details.clear()
+    monkeypatch.setattr(RationalFn, "__eq__", lambda self, other: True)
+    for cfg in configs:
+        assert not check_symbolic_numeric(cfg, n_pairs=200).ok
+    errors = [line for line in details if "equal functions differ at" in line]
+    assert (len(details), len(errors)) == (400, 197)
+    assert _sha256(details) == (
+        "d24269894b8c5bb31eeb05f67b682f66dd0a11efc1202652c20fa77e2a82e213"
+    )
+
+
 def _verdict(equivalent: bool, test: str | None = None):
     return lambda left, right, depth=None: Verdict(
         equivalent, depth, None if test is None else parse_test(test)
