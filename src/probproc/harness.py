@@ -598,14 +598,14 @@ def check_symbolic_numeric(
             names = sorted(f.variables() | g.variables())
             equal = f == g
             detail = {"sample_seed": seed, "f": str(f), "g": str(g)}
+            f_at, g_at = f.evaluator(), g.evaluator()
             differs_at = None
             for _ in range(points_per_pair):
-                point = {
-                    name: Fraction(sub.randint(1, 40), sub.randint(1, 40))
-                    for name in names
-                }
-                if f.evaluate(point) != g.evaluate(point):
-                    differs_at = point
+                point = {name: (sub.randint(1, 40), sub.randint(1, 40)) for name in names}
+                fn, fd = f_at(point)
+                gn, gd = g_at(point)
+                if fn * gd != gn * fd:
+                    differs_at = {name: Fraction(n, d) for name, (n, d) in point.items()}
                     break
             if equal and differs_at is not None:
                 detail["error"] = f"equal functions differ at {differs_at}"

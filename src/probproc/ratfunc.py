@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
 Poly = dict[Monomial, int]
@@ -63,19 +63,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
             mono = _mono_mul(m1, m2)
             out[mono] = out.get(mono, 0) + c1 * c2
     return out
-
-
-def _pscaled(a: Poly, powers: Mapping[str, list[int]]) -> int:
-    """The sum over terms c * prod_x powers[x][e_x], e_x being 0 for an
-    absent variable x."""
-    total = 0
-    for mono, coeff in a.items():
-        term = coeff
-        exps = dict(mono)
-        for name, table in powers.items():
-            term *= table[exps.get(name, 0)]
-        total += term
-    return total
 
 
 def _pvars(a: Poly) -> set[str]:
@@ -200,14 +187,13 @@ class RationalFn:
     def variables(self) -> set[str]:
         return _pvars(self.num) | _pvars(self.den)
 
-    def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
-        """Exact value at a point with positive rational coordinates."""
-        values: dict[str, Fraction] = {}
-        for name, raw in assignment.items():
-            value = Fraction(raw)
-            if value <= 0:
-                raise ValueError(f"variable {name!r} must be positive, got {value}")
-            values[name] = value
+    def evaluator(self) -> Callable[[Mapping[str, tuple[int, int]]], tuple[int, int]]:
+        """The function's exact evaluator on integer coordinates.
+
+        It maps {x: (n, d)}, with positive ints n and d for each variable x,
+        to ints (N, D) with D > 0 and N / D the value at x = n / d.  Other
+        names are ignored.  The pair need not be in lowest terms.
+        """
         # With x = n/d raised at most to E_x over num and den together,
         # multiplying both by the product of d^E_x turns each term
         # c * x^e into the integer c * n^e * d^(E_x - e).
@@ -217,16 +203,42 @@ class RationalFn:
                 for name, exp in mono:
                     if exp > top.get(name, 0):
                         top[name] = exp
-        missing = top.keys() - values.keys()
+        names = sorted(top)
+        num, den = (
+            [(c, [dict(mono).get(name, 0) for name in names]) for mono, c in poly.items()]
+            for poly in (self.num, self.den)
+        )
+
+        def scaled(terms, powers: list[list[int]]) -> int:
+            total = 0
+            for coeff, exps in terms:
+                for table, exp in zip(powers, exps):
+                    coeff *= table[exp]
+                total += coeff
+            return total
+
+        def evaluate(point: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+            powers = []
+            for name in names:
+                n, d = point[name]
+                most = top[name]
+                powers.append([n**e * d ** (most - e) for e in range(most + 1)])
+            return scaled(num, powers), scaled(den, powers)
+
+        return evaluate
+
+    def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
+        """Exact value at a point with positive rational coordinates."""
+        point: dict[str, tuple[int, int]] = {}
+        for name, raw in assignment.items():
+            value = Fraction(raw)
+            if value <= 0:
+                raise ValueError(f"variable {name!r} must be positive, got {value}")
+            point[name] = value.numerator, value.denominator
+        missing = self.variables() - point.keys()
         if missing:
             raise ValueError(f"no value given for variable(s) {sorted(missing)}")
-        powers = {}
-        for name, most in top.items():
-            n, d = values[name].numerator, values[name].denominator
-            powers[name] = [n**e * d ** (most - e) for e in range(most + 1)]
-        num, den = _pscaled(self.num, powers), _pscaled(self.den, powers)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanished at the given point")
+        num, den = self.evaluator()(point)
         return Fraction(num, den)
 
     def __str__(self) -> str:

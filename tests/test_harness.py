@@ -1,6 +1,7 @@
 """Generator determinism and the randomized property suites at small scale."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -359,3 +360,30 @@ def test_symbolic_numeric_reports_each_failure(monkeypatch, equal, error):
     for detail in report.failures:
         assert detail["error"].startswith(error)
         assert "witness" not in detail
+
+
+def test_symbolic_numeric_fails_when_evaluation_is_wrong(monkeypatch):
+    """A wrong evaluator must make equal functions differ numerically.
+
+    The equal pairs of this seed are structurally identical, so the fault
+    goes into the first evaluator of each pair only: f's numerator gains 1.
+    """
+    evaluator = RationalFn.evaluator
+    built = itertools.count()
+
+    def broken(self):
+        evaluate = evaluator(self)
+        bump = 1 if next(built) % 2 == 0 else 0
+
+        def wrong(point):
+            num, den = evaluate(point)
+            return num + bump, den
+
+        return wrong
+
+    monkeypatch.setattr(RationalFn, "evaluator", broken)
+    report = check_symbolic_numeric(GenConfig(seed=3), n_pairs=6, points_per_pair=20)
+    assert (report.samples, report.passes) == (6, 3)
+    for detail in report.failures:
+        assert detail["f"] == detail["g"]
+        assert detail["error"].startswith("equal functions differ at ")

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from probproc.ratfunc import RationalFn, _pmul, format_ratfunc, parse_ratfunc
 
@@ -167,10 +167,14 @@ def test_add_and_mul_commute_structurally(f, g):
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
+@example(var("a"), var("b") + var("c"), scalar(1) / (var("b") + var("c")))
 @settings(max_examples=120, deadline=None)
 def test_add_and_mul_associate_structurally(f, g, h):
     assert structurally_equal((f + g) + h, f + (g + h))
-    assert structurally_equal((f * g) * h, f * (g * h))
+    # Products associate only semantically: they cancel proportional pairs
+    # but no other common factor, so on the example (f*g)*h keeps the
+    # factor b + c in (a*b + a*c) / (b + c), which f*(g*h) cancels to a.
+    assert (f * g) * h == f * (g * h)
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
@@ -228,6 +232,23 @@ def test_equality_agrees_with_exact_evaluation(f, g, seed):
             break
     if not equal:
         assert disagreed, f"no separating point found for {f} vs {g}"
+
+
+_coordinates = st.fixed_dictionaries(
+    {name: st.tuples(st.integers(1, 12), st.integers(1, 12)) for name in ("a", "b", "c")}
+)
+
+
+@given(ratfuncs(), _coordinates)
+@example(var("a") / (var("a") + var("b")), {"a": (2, 4), "b": (3, 9), "c": (6, 6)})
+@settings(max_examples=150, deadline=None)
+def test_evaluator_matches_the_fraction_reference(f, point):
+    values = {name: Fraction(n, d) for name, (n, d) in point.items()}
+    ref_num, ref_den = _peval(f.num, values), _peval(f.den, values)
+    num, den = f.evaluator()(point)
+    assert den > 0
+    assert num * ref_den == den * ref_num
+    assert f.evaluate(values) == ref_num / ref_den
 
 
 @given(ratfuncs())
