@@ -166,7 +166,8 @@ def random_priority_order(cfg: GenConfig, rng: random.Random) -> PriorityOrder:
 
 @dataclass(frozen=True)
 class _Hole:
-    _shared = 0  # read by the term constructors around it
+    _hash = 0  # both read by the term constructors around it
+    _shared = 0
 
 
 def fill_context(context, replacement: Term) -> Term:

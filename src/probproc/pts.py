@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from hashlib import blake2b
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 OMEGA = "w"
@@ -28,6 +30,9 @@ Menu = frozenset[str]
 
 ActionEdge = tuple[int, str, int]
 ProbEdge = tuple[int, Fraction, int]
+
+
+_target = itemgetter(1)
 
 
 class CyclicGraphError(ValueError):
@@ -51,6 +56,15 @@ def _merge_prob_edges(edges: Iterable[tuple[int, object, int]]) -> tuple[ProbEdg
 
 @dataclass(frozen=True)
 class Pts:
+    """A graph: its edges, and per state its action map and weighted tuple.
+
+    `compile_term` builds the maps in its walk and hands them to the graph,
+    with the fact that it is acyclic.  `Pts.build` is the constructor from
+    edges (for `from_json` and hand-made graphs): it merges duplicate
+    weighted edges, and such a graph derives its maps from its edges when
+    first asked.
+    """
+
     alphabet: frozenset[str]
     kinds: Mapping[int, str]
     action_edges: tuple[ActionEdge, ...]
@@ -76,10 +90,16 @@ class Pts:
     def kind(self, state: int) -> str:
         return self.kinds[state]
 
+    # Each state's action map and weighted tuple, `{}` and `()` for a state of
+    # the other kind.  Derived here only for a graph built from edges, which
+    # may have an edge with an end that is not in `kinds`: it is refused.
+
     @cached_property
     def _action_map(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {s: {} for s in self.kinds}
         for src, label, dst in self.action_edges:
+            if src not in out or dst not in out:
+                raise ValueError(f"edge ({src},{label},{dst}) uses unknown state")
             out[src][label] = dst
         return out
 
@@ -87,6 +107,8 @@ class Pts:
     def _prob_map(self) -> dict[int, tuple[tuple[Fraction, int], ...]]:
         out: dict[int, list[tuple[Fraction, int]]] = {s: [] for s in self.kinds}
         for src, weight, dst in self.prob_edges:
+            if src not in out or dst not in out:
+                raise ValueError(f"edge ({src},{weight},{dst}) uses unknown state")
             out[src].append((weight, dst))
         return {s: tuple(v) for s, v in out.items()}
 
@@ -108,13 +130,9 @@ class Pts:
     @cached_property
     def _order(self) -> tuple[int, ...] | None:
         """Every state, each after all of its successors, by an iterative
-        post-order over every edge; None on a cycle, reachable or not.
+        post-order over the graph's maps; None on a cycle, reachable or not.
         Raises ValueError on an edge to or from a state not in `kinds`."""
-        successors: dict[int, list[int]] = {state: [] for state in self.kinds}
-        for src, via, dst in self.action_edges + self.prob_edges:
-            if src not in successors or dst not in successors:
-                raise ValueError(f"edge ({src},{via},{dst}) uses unknown state")
-            successors[src].append(dst)
+        actions, weighted = self._action_map, self._prob_map
         order: list[int] = []
         done: set[int] = set()
         active: set[int] = set()
@@ -122,7 +140,7 @@ class Pts:
             if start in done:
                 continue
             active.add(start)
-            stack = [(start, iter(successors[start]))]
+            stack = [(start, chain(actions[start].values(), map(_target, weighted[start])))]
             while stack:
                 state, pending = stack[-1]
                 for dst in pending:
@@ -130,7 +148,9 @@ class Pts:
                         return None
                     if dst not in done:
                         active.add(dst)
-                        stack.append((dst, iter(successors[dst])))
+                        stack.append(
+                            (dst, chain(actions[dst].values(), map(_target, weighted[dst])))
+                        )
                         break
                 else:
                     stack.pop()
@@ -139,12 +159,13 @@ class Pts:
                     order.append(state)
         return tuple(order)
 
-    @property
+    @cached_property
     def is_acyclic(self) -> bool:
+        """`compile_term` hands over True, as each step shrinks the term."""
         return self._order is not None
 
     def require_acyclic(self) -> None:
-        if self._order is None:
+        if not self.is_acyclic:
             raise CyclicGraphError("operation requires an acyclic graph")
 
     @cached_property
@@ -275,8 +296,9 @@ class Positions:
     the total weight, and its (menu, action) steps with menus in
     observation order and each menu's actions sorted; a menu's probability
     is its weight over the total.  `child` conditions each (id, menu,
-    action) once.  The table holds the graph's maps but not the graph,
-    which holds the table.
+    action) once.  The table reads the graph's maps as they are, from the
+    compiler or derived once by the graph, and holds them but not the
+    graph, which holds the table.
     """
 
     def __init__(self, pts: Pts):

@@ -22,7 +22,6 @@ steps; equal subterms share one graph state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +35,8 @@ from .terms import (
     SharedPar,
     SyncPar,
     Term,
-    _store_hash,
+    _reduce,
+    _set,
     _stored_hash,
     alphabet,
     children,
@@ -44,7 +44,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Shared:
     """SharedPar with its synchronization set pinned at composition time."""
 
@@ -54,10 +54,14 @@ class _Shared:
 
     __slots__ = ("left", "right", "sync", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        shared = 1 + self.left._shared + self.right._shared
-        _store_hash(self, shared, self.left, self.right, self.sync)
+    def __init__(self, left, right, sync: frozenset[str]):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "sync", sync)
+        _set(self, "_hash", hash((left._hash, right._hash, sync)))
+        _set(self, "_shared", 1 + left._shared + right._shared)
 
 
 def _pin_sync_sets(term: Term):
@@ -102,9 +106,9 @@ class _Compiler:
         out: list[tuple[Fraction, object]] = []
         if isinstance(node, ProbChoice):
             for weight, sub in node.branches:
-                inner = self.prob_steps(sub)
+                inner = () if isinstance(sub, ExternalChoice) else self.prob_steps(sub)
                 if inner:
-                    out.extend((weight * r, target) for r, target in inner)
+                    out += [(weight * r, target) for r, target in inner]
                 else:
                     out.append((weight, sub))
         elif isinstance(node, Priority):
@@ -132,13 +136,16 @@ class _Compiler:
         return result
 
     def action_steps(self, node) -> dict[str, object]:
+        """The node's action steps.  Only a node without weighted steps is
+        asked for them, and then its operands have none either, so either
+        operand of |[]| may act alone on an unshared label."""
+        if isinstance(node, ExternalChoice):  # its own branches; a cache would mostly miss
+            return dict(node.branches)
         cached = self._action_cache.get(node)
         if cached is not None:
             return cached
         out: dict[str, object] = {}
-        if isinstance(node, ExternalChoice):
-            out = dict(node.branches)
-        elif isinstance(node, Priority):
+        if isinstance(node, Priority):
             steps = self.action_steps(node.body)
             out = {
                 label: Priority(target)
@@ -153,62 +160,77 @@ class _Compiler:
             }
         elif isinstance(node, _Shared):
             left, right = self.action_steps(node.left), self.action_steps(node.right)
-            left_quiet = not self.prob_steps(node.left)
-            right_quiet = not self.prob_steps(node.right)
             for label, target in left.items():
-                if label in node.sync:
-                    if label in right:
-                        out[label] = _Shared(target, right[label], node.sync)
-                elif right_quiet:
+                if label not in node.sync:
                     out[label] = _Shared(target, node.right, node.sync)
+                elif label in right:
+                    out[label] = _Shared(target, right[label], node.sync)
             for label, target in right.items():
                 if label in node.sync:
                     continue
-                if left_quiet:
-                    if label in out:
-                        raise ValueError(f"both operands of |[]| interleave label {label!r}")
-                    out[label] = _Shared(node.left, target, node.sync)
+                if label in out:
+                    raise ValueError(f"both operands of |[]| interleave label {label!r}")
+                out[label] = _Shared(node.left, target, node.sync)
         self._action_cache[node] = out
         return out
 
 
 def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
-    """The reachable transition graph of a process or test term."""
+    """The reachable transition graph of a process or test term.
+
+    States are numbered in breadth-first order from the root, 0.  The walk
+    builds each state's action map and weighted tuple as it goes, merging
+    weighted steps to one target by adding their weights, and hands them to
+    the graph, which then never derives them from its edges.  It also hands
+    over that the graph is acyclic: every step leads to a smaller term.
+    """
     compiler = _Compiler(order)
     root, labels = _pin_sync_sets(term)
     ids: dict[object, int] = {root: 0}
+    nodes = [root]
     kinds: dict[int, str] = {}
+    actions: dict[int, dict[str, int]] = {}
+    weighted: dict[int, tuple[tuple[Fraction, int], ...]] = {}
     action_edges: list[tuple[int, str, int]] = []
     prob_edges: list[tuple[int, Fraction, int]] = []
-    queue = deque([(root, 0)])
-
-    def intern(node) -> int:
-        state = ids.get(node)
-        if state is None:
-            state = ids[node] = len(ids)
-            queue.append((node, state))
-        return state
-
-    while queue:
-        node, state = queue.popleft()
-        weighted = compiler.prob_steps(node)
-        if weighted:
-            kinds[state] = "p"
-            for weight, target in weighted:
-                assert not compiler.prob_steps(target)
-                prob_edges.append((state, weight, intern(target)))
+    # `nodes` grows while it is walked, so the walk is breadth-first.
+    for state, node in enumerate(nodes):
+        if isinstance(node, ExternalChoice):  # the commonest node, never weighted
+            steps, moves = (), node.branches
         else:
-            kinds[state] = "n"
-            for label, target in sorted(compiler.action_steps(node).items()):
-                action_edges.append((state, label, intern(target)))
+            steps = compiler.prob_steps(node)
+            moves = () if steps else compiler.action_steps(node).items()
+        if steps:
+            merged: dict[int, Fraction] = {}
+            for weight, target in steps:
+                dst = ids.setdefault(target, len(nodes))
+                if dst == len(nodes):
+                    nodes.append(target)
+                if dst in merged:
+                    merged[dst] += weight
+                else:
+                    merged[dst] = weight if type(weight) is Fraction else Fraction(weight)
+            pairs = tuple(zip(merged.values(), merged))
+            prob_edges += [(state, weight, dst) for weight, dst in pairs]
+            kinds[state], actions[state], weighted[state] = "p", {}, pairs
+        else:
+            out: dict[str, int] = {}
+            for label, target in sorted(moves) if len(moves) > 1 else moves:
+                dst = out[label] = ids.setdefault(target, len(nodes))
+                if dst == len(nodes):
+                    nodes.append(target)
+                action_edges.append((state, label, dst))
+            kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    return Pts.build(
+    pts = Pts(
         alphabet=labels,
         kinds=kinds,
-        action_edges=action_edges,
-        prob_edges=prob_edges,
+        action_edges=tuple(action_edges),
+        prob_edges=tuple(prob_edges),
         root=0,
     )
+    pts.__dict__.update(_action_map=actions, _prob_map=weighted, is_acyclic=True)
+    return pts
 
 
 def composition_warnings(term: Term) -> list[str]:

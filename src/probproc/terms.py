@@ -11,13 +11,20 @@ Constructors:
 
 A test is a term that may additionally use the reserved success label "w"
 as a choice branch (its continuation is always Empty).  Ordinary process
-terms must not mention "w".  Structural equality and hashing follow the
-dataclass fields, so syntactically equal subterms are interchangeable.  Each
-composite term stores its hash in a slot when it is built, from the hashes
-its subterms stored, so hashing takes constant time at any depth.  Beside
-the hash it stores `_shared`, the number of |[]| nodes it contains, so a
-walk that only matters around |[]| can pass over a subterm without entering
-it.
+terms must not mention "w".  Structural equality follows the dataclass
+fields, so syntactically equal subterms are interchangeable.
+
+Each composite constructor is one `__init__` that validates its fields and
+stores, beside them, the term's hash and `_shared`, the number of |[]| nodes
+it contains.  The hash is computed from the hashes its subterms stored (a
+probabilistic choice hashes its weights as integer numerator/denominator
+pairs), so hashing takes constant time at any depth; `_shared` lets a walk
+that only matters around |[]| pass over a subterm without entering it.
+There is one Empty: `Empty()` returns it, and it compares and hashes by
+identity.  Copying and pickling go through `__reduce__`, which rebuilds a
+term with its constructor: it is validated again, its hash is recomputed in
+the process that loads it (`str` hashes differ between processes), and
+Empty comes back as the one Empty.
 """
 
 from __future__ import annotations
@@ -31,103 +38,142 @@ from .pts import OMEGA
 
 Term = Union["Empty", "ExternalChoice", "ProbChoice", "Priority", "SyncPar", "SharedPar"]
 
-
-def _store_hash(term, shared: int, *fields) -> None:
-    """Record the hash the dataclass would compute from these fields, and
-    the number of |[]| nodes the term contains."""
-    object.__setattr__(term, "_hash", hash(fields))
-    object.__setattr__(term, "_shared", shared)
+_set = object.__setattr__  # fills a slot of a frozen term while it is built
 
 
 def _stored_hash(term) -> int:
     return term._hash
 
 
-@dataclass(frozen=True)
+def _reduce(term):
+    """Rebuild the term through its constructor, which validates it again and
+    recomputes its stored hash: `str` hashes differ from process to process,
+    so a stored hash must not travel with a pickle."""
+    return type(term), tuple(getattr(term, name) for name in term.__match_args__)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Empty:
+    """There is one Empty: `Empty()` returns it, so `==` and hash are identity."""
+
+    __slots__ = ()
+    _hash = hash(())  # both read by the constructors around it
     _shared = 0
+    __reduce__ = _reduce
+
+    def __new__(cls):
+        return _EMPTY
 
 
-@dataclass(frozen=True)
+_EMPTY = object.__new__(Empty)
+
+
+@dataclass(frozen=True, init=False)
 class ExternalChoice:
     branches: tuple[tuple[str, Term], ...]
 
     __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        labels = set()
-        shared = 0
-        for label, sub in self.branches:
-            labels.add(label)
-            shared += sub._shared
-        if not labels:
-            raise ValueError("external choice needs at least one branch")
-        if len(labels) != len(self.branches):
-            listed = [label for label, _ in self.branches]
-            raise ValueError(f"duplicate branch labels in {listed}")
-        _store_hash(self, shared, self.branches)
+    def __init__(self, branches: tuple[tuple[str, Term], ...]):
+        if len(branches) == 1:  # a prefix, the commonest node
+            ((label, sub),) = branches
+            key, shared = (label, sub._hash), sub._shared
+        else:
+            labels, hashes, shared = [], [], 0
+            for label, sub in branches:
+                labels.append(label)
+                hashes.append(sub._hash)
+                shared += sub._shared
+            if not labels:
+                raise ValueError("external choice needs at least one branch")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate branch labels in {labels}")
+            key = (*labels, *hashes)
+        _set(self, "branches", branches)
+        _set(self, "_hash", hash(key))
+        _set(self, "_shared", shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbChoice:
     branches: tuple[tuple[Fraction, Term], ...]
 
     __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        if not self.branches:
+    def __init__(self, branches: tuple[tuple[Fraction, Term], ...]):
+        if not branches:
             raise ValueError("probabilistic choice needs at least one branch")
         # In integers: each weight n/d lies in (0,1] when 0 < n <= d, and the
-        # weights sum to one when their numerators over the lcm do.
-        common = lcm(*(weight.denominator for weight, _ in self.branches))
-        scaled = shared = 0
-        for weight, sub in self.branches:
+        # weights sum to one when their running sum num/den, kept over the lcm
+        # of the denominators so far, ends with num == den.  The hash reads
+        # the same integers rather than hashing each Fraction.
+        key: list[int] = []
+        shared, num, den = 0, 0, 1
+        for weight, sub in branches:
             numerator, denominator = weight.numerator, weight.denominator
             if not 0 < numerator <= denominator:
                 raise ValueError(f"weight {weight} is outside (0,1]")
-            scaled += numerator * (common // denominator)
+            common = lcm(den, denominator)
+            num = num * (common // den) + numerator * (common // denominator)
+            den = common
+            key += (numerator, denominator, sub._hash)
             shared += sub._shared
-        if scaled != common:
-            total = sum(weight for weight, _ in self.branches)
+        if num != den:
+            total = sum(weight for weight, _ in branches)
             raise ValueError(f"weights sum to {total}, not 1")
-        _store_hash(self, shared, self.branches)
+        _set(self, "branches", branches)
+        _set(self, "_hash", hash(tuple(key)))
+        _set(self, "_shared", shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Priority:
     body: Term
 
     __slots__ = ("body", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        _store_hash(self, self.body._shared, self.body)
+    def __init__(self, body: Term):
+        _set(self, "body", body)
+        _set(self, "_hash", hash(("prio", body._hash)))
+        _set(self, "_shared", body._shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SyncPar:
     left: Term
     right: Term
 
     __slots__ = ("left", "right", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        _store_hash(self, self.left._shared + self.right._shared, self.left, self.right)
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash(("||", left._hash, right._hash)))
+        _set(self, "_shared", left._shared + right._shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SharedPar:
     left: Term
     right: Term
 
     __slots__ = ("left", "right", "_hash", "_shared")
     __hash__ = _stored_hash
+    __reduce__ = _reduce
 
-    def __post_init__(self):
-        _store_hash(self, 1 + self.left._shared + self.right._shared, self.left, self.right)
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash(("|[]|", left._hash, right._hash)))
+        _set(self, "_shared", 1 + left._shared + right._shared)
 
 
 def prefix(label: str, body: Term | None = None) -> ExternalChoice:
@@ -192,7 +238,8 @@ def subterms(term: Term) -> Iterator[Term]:
 def alphabet(term: Term) -> frozenset[str]:
     """Action labels occurring syntactically in the term; excludes "w".
 
-    One loop over an explicit stack, so any depth is fine.
+    One loop over an explicit stack, so any depth is fine.  The shared Empty
+    is never pushed.
     """
     labels: set[str] = set()
     stack = [term]
@@ -201,15 +248,18 @@ def alphabet(term: Term) -> frozenset[str]:
         if isinstance(node, ExternalChoice):
             for label, sub in node.branches:
                 labels.add(label)
-                stack.append(sub)
+                if sub is not _EMPTY:
+                    stack.append(sub)
         elif isinstance(node, ProbChoice):
-            stack.extend(sub for _, sub in node.branches)
-        elif isinstance(node, Priority):
-            stack.append(node.body)
+            for _, sub in node.branches:
+                if sub is not _EMPTY:
+                    stack.append(sub)
         elif isinstance(node, (SyncPar, SharedPar)):
             stack.append(node.left)
             stack.append(node.right)
-        elif not isinstance(node, Empty):
+        elif isinstance(node, Priority):
+            stack.append(node.body)
+        elif node is not _EMPTY:
             raise TypeError(f"not a term: {node!r}")
     labels.discard(OMEGA)
     return frozenset(labels)

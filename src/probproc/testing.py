@@ -84,18 +84,19 @@ class _Outcomes:
         key = (state, labels)
         out = self._unit_steps.get(key)
         if out is None:
-            process = self.process
+            action_map = self.process._action_map
             step: dict[str, dict[int, RationalFn]] = {}
             total = Fraction(0)
             for settled, weight in self.weights(state).items():
-                common = tuple(sorted(process.menu(settled).intersection(labels)))
+                offered = action_map[settled]
+                common = tuple(sorted(offered.keys() & labels))
                 if not common:
                     continue
                 total += weight
                 scaled = _scalar(weight)
                 for label, share in zip(common, _share(common)):
                     successors = step.setdefault(label, {})
-                    target = process.action_successor(settled, label)
+                    target = offered[label]
                     coefficient = scaled * share
                     if target in successors:
                         coefficient = successors[target] + coefficient
@@ -108,16 +109,13 @@ class _Outcomes:
         steps, each with the sum over paths of the product of weights."""
         out = self._weights.get(state)
         if out is None:
-            process = self.process
+            kinds, prob_map = self.process.kinds, self.process._prob_map
             out = self._weights[state] = {}
             stack = [(state, Fraction(1))]
             while stack:
                 settled, weight = stack.pop()
-                if process.kind(settled) == "p":
-                    stack.extend(
-                        (target, weight * w)
-                        for w, target in process.prob_successors(settled)
-                    )
+                if kinds[settled] == "p":
+                    stack.extend((target, weight * w) for w, target in prob_map[settled])
                 else:
                     out[settled] = out.get(settled, 0) + weight
         return out
@@ -140,18 +138,17 @@ class _Outcomes:
         if OMEGA in actions:
             return _ONE
         out = _ZERO
-        if process.kind(s) == "p":
-            for weight, target in process.prob_successors(s):
+        if process.kinds[s] == "p":
+            for weight, target in process._prob_map[s]:
                 out = out + _scalar(weight) * self._at(target, t)
         elif weighted:
             for weight, target in weighted:
                 out = out + _scalar(weight) * self._at(s, target)
         else:
-            common = tuple(sorted(process.menu(s) & actions.keys()))
+            offered = process._action_map[s]
+            common = tuple(sorted(offered.keys() & actions.keys()))
             for label, share in zip(common, _share(common)):
-                out = out + share * self._at(
-                    process.action_successor(s, label), actions[label]
-                )
+                out = out + share * self._at(offered[label], actions[label])
         self._memo[key] = out
         return out
 
@@ -174,21 +171,12 @@ def _shape(f: RationalFn) -> tuple:
 
 
 class _GraphSteps:
-    """Steps through a compiled test graph the way `_Compiler` steps terms."""
+    """Steps through a compiled test graph the way `_Compiler` steps terms:
+    the graph's own maps, `()` and `{}` for a state of the other kind."""
 
     def __init__(self, test: Pts):
-        self.test = test
-
-    def prob_steps(self, state: int) -> tuple[tuple[Fraction, int], ...]:
-        if self.test.kind(state) != "p":
-            return ()
-        return self.test.prob_successors(state)
-
-    def action_steps(self, state: int) -> dict[str, int]:
-        test = self.test
-        if test.kind(state) != "n":
-            return {}
-        return {label: test.action_successor(state, label) for label in test.menu(state)}
+        self.prob_steps = test._prob_map.__getitem__
+        self.action_steps = test._action_map.__getitem__
 
 
 def apply_test(process: Pts, test: Pts) -> RationalFn:

@@ -1,11 +1,17 @@
 """Compilation rules: flattening, priority, both parallels, state sharing."""
 
+import copy
 import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from probproc.fixtures import GAME_GUESSER, GAME_TOSSER
 from probproc import semantics, terms
@@ -20,6 +26,8 @@ from probproc.parser import parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
 from probproc.terms import (
+    EMPTY_ORDER,
+    Empty,
     ExternalChoice,
     Priority,
     ProbChoice,
@@ -370,3 +378,57 @@ def test_composition_warnings_handle_a_long_chain():
     started = time.perf_counter()
     assert composition_warnings(chain) == []
     assert time.perf_counter() - started < 5
+
+
+def test_compiled_maps_match_the_maps_built_from_edges():
+    """`compile_term` hands the graph the maps its walk built; they, and all
+    the graph derives from them, equal those of the same edges rebuilt."""
+    rng = random.Random(16)
+    cfg = GenConfig(alphabet_size=4, seed=16)
+    ordered = 0
+    for term in _fast_path_corpus():
+        for order in (EMPTY_ORDER, random_priority_order(cfg, rng)):
+            graph = compile_term(term, order)
+            handed = vars(graph)
+            rebuilt = Pts.build(
+                graph.alphabet, graph.kinds, graph.action_edges, graph.prob_edges, graph.root
+            )
+            assert list(handed["_action_map"].items()) == list(rebuilt._action_map.items())
+            for state, actions in handed["_action_map"].items():
+                assert list(actions.items()) == list(rebuilt._action_map[state].items())
+            assert list(handed["_prob_map"].items()) == list(rebuilt._prob_map.items())
+            assert handed["is_acyclic"] is rebuilt.is_acyclic is True
+            assert graph._order == rebuilt._order
+            assert graph.action_depth == rebuilt.action_depth
+            assert to_json(graph) == to_json(rebuilt)
+            ordered += bool(order.pairs)
+    assert ordered > 1000
+
+
+def _round_trips(term):
+    yield copy.copy(term)
+    yield copy.deepcopy(term)
+    yield pickle.loads(pickle.dumps(term))
+
+
+def test_terms_copy_and_pickle_through_their_constructors():
+    for term in _fast_path_corpus():
+        for original in (term, _pin_sync_sets(term)[0]):
+            for restored in _round_trips(original):
+                assert restored == original and hash(restored) == hash(original)
+    for restored in _round_trips(Empty()):
+        assert restored is Empty()
+
+
+def test_a_pickled_term_is_rehashed_where_it_is_loaded():
+    """The loading process hashes labels with its own seed, not the dumper's."""
+    text = "p{1/3:a->b, 2/3:(c || prio(d))} |[]| (b [] c)"
+    dump = (
+        "import pickle, sys; from probproc.parser import parse_term; "
+        f"sys.stdout.buffer.write(pickle.dumps(parse_term({text!r})))"
+    )
+    src = str(Path(semantics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", dump], env=env, capture_output=True, check=True)
+    loaded = pickle.loads(out.stdout)
+    assert loaded == parse_term(text) and hash(loaded) == hash(parse_term(text))
