@@ -32,8 +32,6 @@ from .terms import (
     Term,
 )
 
-_EMPTY = Empty()
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -48,6 +46,7 @@ _SYMBOLS = ["|[]|", "[]", "||", "->", "{", "}", "(", ")", ",", ":", "/"]
 # stops at the trailing whitespace, which would otherwise be rescanned from
 # each of its characters.
 _TOKEN = re.compile(r"\s*(%s|\w+|\S)" % "|".join(map(re.escape, _SYMBOLS)))
+_SYMBOL_KINDS = {symbol: symbol for symbol in _SYMBOLS}
 
 
 def _word_kind(word: str) -> str | None:
@@ -58,24 +57,6 @@ def _word_kind(word: str) -> str | None:
     return None
 
 
-class _Kinds(dict):
-    """Token text -> kind: every symbol, and a memo of the kinds `_word_kind`
-    gives, bounded to `_MEMO_WORDS` words of at most `_MEMO_LENGTH` characters."""
-
-    __slots__ = ()
-
-    def __missing__(self, word: str) -> str | None:
-        kind = _word_kind(word)
-        if len(word) <= _MEMO_LENGTH and len(self) < _MEMO_WORDS:
-            self[word] = kind
-        return kind
-
-
-_MEMO_WORDS = 4096
-_MEMO_LENGTH = 32
-_KINDS = _Kinds({symbol: symbol for symbol in _SYMBOLS})
-
-
 def _tokenize(text: str) -> tuple[list[str], list[str]]:
     """The token kinds and texts, ending with an "end" token.
 
@@ -83,7 +64,7 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     position: `_position` recovers one from the texts when an error needs it.
     """
     texts = _TOKEN.findall(text, 0, len(text.rstrip()))
-    kinds = list(map(_KINDS.__getitem__, texts))
+    kinds = [_SYMBOL_KINDS.get(chunk) or _word_kind(chunk) for chunk in texts]
     if None in kinds:
         kinds, texts = _split_words(text, texts)
     kinds.append("end")
@@ -101,7 +82,7 @@ def _split_words(text: str, chunks: list[str]) -> tuple[list[str], list[str]]:
     kinds: list[str] = []
     texts: list[str] = []
     for index, chunk in enumerate(chunks):
-        kind = _KINDS[chunk]
+        kind = _SYMBOL_KINDS.get(chunk) or _word_kind(chunk)
         if kind:
             kinds.append(kind)
             texts.append(chunk)
@@ -140,26 +121,26 @@ def _position(text: str, texts: list[str], index: int) -> tuple[int, int]:
 
 
 class _Parser:
-    __slots__ = ("text", "kinds", "texts", "pos", "allow_success", "weights")
+    __slots__ = ("text", "kinds", "texts", "pos", "allow_success")
 
     def __init__(self, text: str, allow_success: bool):
         self.text = text
         self.kinds, self.texts = _tokenize(text)
         self.pos = 0
         self.allow_success = allow_success
-        self.weights: dict[tuple[str, str], Fraction] = {}  # one Fraction per weight text
 
     def error(self, index: int, message: str) -> ParseError:
         return ParseError(message, *_position(self.text, self.texts, index))
 
-    def expected(self, index: int, what: str) -> ParseError:
-        return self.error(index, f"expected {what}, found {self.texts[index] or 'end of input'!r}")
+    def found(self) -> str:
+        return repr(self.texts[self.pos] or "end of input")
 
-    def expect(self, kind: str) -> None:
+    def expect(self, kind: str) -> str:
         pos = self.pos
         if self.kinds[pos] != kind:
-            raise self.expected(pos, repr(kind))
+            raise self.error(pos, f"expected {kind!r}, found {self.found()}")
         self.pos = pos + 1
+        return self.texts[pos]
 
     # --- grammar ---------------------------------------------------------
 
@@ -193,17 +174,17 @@ class _Parser:
     def parse_branch(self) -> tuple[str, Term]:
         pos = self.pos
         if self.kinds[pos] != "name":
-            raise self.expected(pos, "an action label")
+            raise self.error(pos, f"expected an action label, found {self.found()}")
         label = self.texts[pos]
         self.pos = pos + 1
         if label == OMEGA:
             if not self.allow_success:
                 raise self.error(pos + 1, f"success marker {OMEGA!r} is only allowed in tests")
-            return (OMEGA, _EMPTY)
+            return (OMEGA, Empty())
         if self.kinds[pos + 1] == "->":
             self.pos = pos + 2
             return (label, self.parse_target())
-        return (label, _EMPTY)
+        return (label, Empty())
 
     def parse_target(self) -> Term:
         term = self.parse_atom()
@@ -219,15 +200,13 @@ class _Parser:
         if kind == "(":
             self.pos = pos + 1
             term = self.parse_process()
-            if kinds[self.pos] != ")":
-                raise self.expected(self.pos, "')'")
-            self.pos += 1
+            self.expect(")")
             return term
         if kind == "int":
             if text != "0":
                 return None
             self.pos = pos + 1
-            return _EMPTY
+            return Empty()
         if kind != "name":
             return None
         if text == "prio" and kinds[pos + 1] == "(":
@@ -249,43 +228,29 @@ class _Parser:
                 raise self.error(closing, str(exc)) from None
         return None
 
-    def parse_weighted(self) -> tuple[Fraction, Term]:
-        start = self.pos
-        kinds, texts = self.kinds, self.texts
-        if kinds[start] != "int":
-            raise self.expected(start, "'int'")
-        end = start + 2 if kinds[start + 1] == "/" else start
-        # Only a checked weight enters the memo, so a hit needs no checks.  A
-        # lone "n" is valid only when n is 1, so it may share a key with "n/n".
-        key = (texts[start], texts[end])
-        weight = self.weights.get(key)
-        if weight is None:
-            weight = self.weights[key] = self.weight(start, end)
-        if kinds[end + 1] != ":":
-            raise self.expected(end + 1, "':'")
-        self.pos = end + 2
-        return (weight, self.parse_process())
-
-    def weight(self, start: int, end: int) -> Fraction:
-        """The weight written from token `start` to token `end`, checked."""
-        numerator = self.weight_int(start)
-        denominator = self.weight_int(end) if end != start else 1
-        if denominator == 0:
-            raise self.error(start, "weight denominator is zero")
-        weight = Fraction(numerator, denominator)
-        if not 0 < numerator <= denominator:
-            raise self.error(start, f"weight {weight} is outside (0,1]")
-        return weight
-
-    def weight_int(self, pos: int) -> int:
-        if self.kinds[pos] != "int":
-            raise self.expected(pos, "'int'")
-        text = self.texts[pos]
+    def weight_int(self) -> int:
+        pos = self.pos
+        text = self.expect("int")
         # str.isdigit, and so the tokenizer, accepts digits such as "²" that int() rejects
         try:
             return int(text)
         except ValueError:
             raise self.error(pos, f"weight {text!r} is not a decimal number") from None
+
+    def parse_weighted(self) -> tuple[Fraction, Term]:
+        start = self.pos
+        numerator = self.weight_int()
+        denominator = 1
+        if self.kinds[self.pos] == "/":
+            self.pos += 1
+            denominator = self.weight_int()
+        if denominator == 0:
+            raise self.error(start, "weight denominator is zero")
+        weight = Fraction(numerator, denominator)
+        if not 0 < numerator <= denominator:
+            raise self.error(start, f"weight {weight} is outside (0,1]")
+        self.expect(":")
+        return (weight, self.parse_process())
 
 
 def parse_term(text: str) -> Term:

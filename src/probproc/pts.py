@@ -58,11 +58,11 @@ def _merge_prob_edges(edges: Iterable[tuple[int, object, int]]) -> tuple[ProbEdg
 class Pts:
     """A graph: its edges, and per state its action map and weighted tuple.
 
-    `compile_term` builds the maps in its walk and hands them to the graph,
-    with the fact that it is acyclic.  `Pts.build` is the constructor from
-    edges (for `from_json` and hand-made graphs): it merges duplicate
-    weighted edges, and such a graph derives its maps from its edges when
-    first asked.
+    `compile_term` builds the maps in its walk and hands them, with the fact
+    that the graph is acyclic, to `Pts.with_maps`.  `Pts.build` is the
+    constructor from edges (for `from_json` and hand-made graphs): it merges
+    duplicate weighted edges, and such a graph derives its maps from its
+    edges when first asked.
     """
 
     alphabet: frozenset[str]
@@ -86,6 +86,23 @@ class Pts:
             prob_edges=_merge_prob_edges(prob_edges),
             root=root,
         )
+
+    @staticmethod
+    def with_maps(
+        alphabet: frozenset[str],
+        kinds: dict[int, str],
+        action_map: dict[int, dict[str, int]],
+        prob_map: dict[int, tuple[tuple[Fraction, int], ...]],
+        action_edges: tuple[ActionEdge, ...],
+        prob_edges: tuple[ProbEdge, ...],
+        root: int,
+        acyclic: bool,
+    ) -> Pts:
+        """A graph whose maps, the edges already merged, and acyclicity the
+        caller has built: they become the graph's own, never derived again."""
+        pts = Pts(alphabet, kinds, action_edges, prob_edges, root)
+        pts.__dict__.update(_action_map=action_map, _prob_map=prob_map, is_acyclic=acyclic)
+        return pts
 
     def kind(self, state: int) -> str:
         return self.kinds[state]
@@ -161,7 +178,7 @@ class Pts:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        """`compile_term` hands over True, as each step shrinks the term."""
+        """Handed over by `Pts.with_maps`, else read off `_order`."""
         return self._order is not None
 
     def require_acyclic(self) -> None:

@@ -60,7 +60,7 @@ class _Shared:
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "sync", sync)
-        _set(self, "_hash", hash((left._hash, right._hash, sync)))
+        _set(self, "_hash", hash((_Shared, left._hash, right._hash, sync)))
         _set(self, "_shared", 1 + left._shared + right._shared)
 
 
@@ -181,8 +181,8 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     States are numbered in breadth-first order from the root, 0.  The walk
     builds each state's action map and weighted tuple as it goes, merging
     weighted steps to one target by adding their weights, and hands them to
-    the graph, which then never derives them from its edges.  It also hands
-    over that the graph is acyclic: every step leads to a smaller term.
+    `Pts.with_maps`, so the graph never derives them from its edges, with
+    the fact that it is acyclic: every step leads to a smaller term.
     """
     compiler = _Compiler(order)
     root, labels = _pin_sync_sets(term)
@@ -222,15 +222,9 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
                 action_edges.append((state, label, dst))
             kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    pts = Pts(
-        alphabet=labels,
-        kinds=kinds,
-        action_edges=tuple(action_edges),
-        prob_edges=tuple(prob_edges),
-        root=0,
+    return Pts.with_maps(
+        labels, kinds, actions, weighted, tuple(action_edges), tuple(prob_edges), 0, acyclic=True
     )
-    pts.__dict__.update(_action_map=actions, _prob_map=weighted, is_acyclic=True)
-    return pts
 
 
 def composition_warnings(term: Term) -> list[str]:

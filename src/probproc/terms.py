@@ -18,7 +18,8 @@ Each composite constructor is one `__init__` that validates its fields and
 stores, beside them, the term's hash and `_shared`, the number of |[]| nodes
 it contains.  The hash is computed from the hashes its subterms stored (a
 probabilistic choice hashes its weights as integer numerator/denominator
-pairs), so hashing takes constant time at any depth; `_shared` lets a walk
+pairs; a choice's key starts with a label or a weight, any other term's with
+its class), so hashing takes constant time at any depth; `_shared` lets a walk
 that only matters around |[]| pass over a subterm without entering it.
 There is one Empty: `Empty()` returns it, and it compares and hashes by
 identity.  Copying and pickling go through `__reduce__`, which rebuilds a
@@ -77,6 +78,7 @@ class ExternalChoice:
     __reduce__ = _reduce
 
     def __init__(self, branches: tuple[tuple[str, Term], ...]):
+        branches = tuple(branches)  # the same object when it is a tuple
         if len(branches) == 1:  # a prefix, the commonest node
             ((label, sub),) = branches
             key, shared = (label, sub._hash), sub._shared
@@ -105,6 +107,7 @@ class ProbChoice:
     __reduce__ = _reduce
 
     def __init__(self, branches: tuple[tuple[Fraction, Term], ...]):
+        branches = tuple(branches)  # the same object when it is a tuple
         if not branches:
             raise ValueError("probabilistic choice needs at least one branch")
         # In integers: each weight n/d lies in (0,1] when 0 < n <= d, and the
@@ -140,7 +143,7 @@ class Priority:
 
     def __init__(self, body: Term):
         _set(self, "body", body)
-        _set(self, "_hash", hash(("prio", body._hash)))
+        _set(self, "_hash", hash((Priority, body._hash)))
         _set(self, "_shared", body._shared)
 
 
@@ -156,7 +159,7 @@ class SyncPar:
     def __init__(self, left: Term, right: Term):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash(("||", left._hash, right._hash)))
+        _set(self, "_hash", hash((SyncPar, left._hash, right._hash)))
         _set(self, "_shared", left._shared + right._shared)
 
 
@@ -172,7 +175,7 @@ class SharedPar:
     def __init__(self, left: Term, right: Term):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash(("|[]|", left._hash, right._hash)))
+        _set(self, "_hash", hash((SharedPar, left._hash, right._hash)))
         _set(self, "_shared", 1 + left._shared + right._shared)
 
 

@@ -177,6 +177,30 @@ def test_term_invariants_enforced_on_construction():
         ProbChoice(((F(3, 2), Empty()),))
 
 
+def test_each_weight_is_checked_where_it_is_written():
+    # A valid 2/2 earlier in the text does not make a later lone 2 valid.
+    with pytest.raises(ParseError) as info:
+        parse_term("p{2/2:a} || p{2:b}")
+    assert str(info.value) == "weight 2 is outside (0,1] (line 1, column 15)"
+
+
+def test_choices_built_from_lists_store_tuples():
+    external = ExternalChoice([("a", Empty()), ("b", Empty())])
+    weighted = ProbChoice([(F(1, 2), Empty()), (F(1, 2), external)])
+    assert type(external.branches) is type(weighted.branches) is tuple
+    assert external == parse_term("a [] b")
+    assert weighted == parse_term("p{1/2:0, 1/2:(a [] b)}")
+    assert hash(weighted) == hash(parse_term("p{1/2:0, 1/2:(a [] b)}"))
+
+
+def test_a_prio_branch_and_a_priority_hash_apart():
+    # "prio" is an ordinary label, so it must not stand for Priority in a key.
+    choice, priority = prefix("a"), prefix("a")
+    for _ in range(3):
+        choice, priority = ExternalChoice((("prio", choice),)), Priority(priority)
+        assert hash(choice) != hash(priority)
+
+
 def test_priority_order_closure_and_cycles():
     order = PriorityOrder((("a", "b"), ("b", "c")))
     assert order.higher("a", "b")
