@@ -2,9 +2,16 @@
 
 States are opaque integers, each tagged "n" (nondeterministic: only labeled
 action edges leave it) or "p" (probabilistic: only weighted edges leave it,
-weights summing to one, targets nondeterministic).  A state with no outgoing
-edge must be tagged "n".  No two action edges share a source and label, so
-the choice offered by a nondeterministic state is between actions only.
+weights summing to one).  A state with no outgoing edge must be tagged "n".
+No two action edges share a source and label, so the choice offered by a
+nondeterministic state is between actions only.
+
+`validate` and `from_json` refuse a weighted edge to a probabilistic state,
+and `compile_term` never makes one, but a graph built by hand may chain
+weighted steps.  Both semantics read weighted steps through one routine per
+graph (`Pts._settled`): the settled (nondeterministic) states a state
+reaches, with the weights multiplied along each path and added over paths,
+which is all an observer or a test can tell of a random choice.
 
 The reserved label "w" marks the success action of tests; it is never part
 of a declared alphabet.  Graphs are immutable after construction; duplicate
@@ -200,6 +207,12 @@ class Pts:
         return depth[self.root]
 
     @cached_property
+    def _settled(self) -> _Filled:
+        """Per state, the settled states it reaches through weighted steps
+        (`_settle`), each state's filled once; read by both semantics."""
+        return _Filled(partial(_settle, self.kinds, self._prob_map))
+
+    @cached_property
     def positions(self) -> Positions:
         """The graph's position table, filled as positions are asked for."""
         return Positions(self)
@@ -299,33 +312,62 @@ class _Filled(dict):
         return value
 
 
+def _settle(kinds, prob_map, state: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The settled (nondeterministic) states that the state reaches through
+    weighted steps, as (denominator, ((weight, settled state), ...)).  Each
+    weight is an integer over the one denominator: the product of the edge
+    weights along a path, added over the paths to the same state.  States
+    come in the order the paths first reach them; a nondeterministic state
+    reaches itself alone.  Raises ValueError at a probabilistic state with
+    no outgoing edge.  The graph must be acyclic."""
+    if kinds[state] == "n":
+        return 1, ((1, state),)
+    edges = prob_map[state]
+    if not edges or any(kinds[dst] == "p" for _, dst in edges):
+        # Weighted steps that chain, which only graphs built by hand have.
+        reached: dict[int, Fraction] = {}
+        stack = [(Fraction(1), state)]
+        while stack:
+            weight, node = stack.pop()
+            if kinds[node] == "n":
+                reached[node] = reached[node] + weight if node in reached else weight
+            elif prob_map[node]:
+                stack += [(weight * w, dst) for w, dst in reversed(prob_map[node])]
+            else:
+                raise ValueError(f"state {node} is probabilistic but has no outgoing edges")
+        edges = [(weight, node) for node, weight in reached.items()]
+    common = lcm(*(weight.denominator for weight, _ in edges))
+    return common, tuple(
+        (weight.numerator * (common // weight.denominator), dst) for weight, dst in edges
+    )
+
+
 class Positions:
     """The positions of one graph, interned to ints.
 
     A position's key is ("s", state) for an actual state, or for a
     distribution the tuple of its (weight, state) pairs sorted by state,
     with integer weights proportional to the probabilities and reduced by
-    their gcd, so equal distributions get one id.  Edge weights are scaled
-    to integers once, by the lcm of their denominators.
+    their gcd, so equal distributions get one id.  Weighted steps are read
+    through the graph's `_settled` routine only, and each conditioning
+    brings its branches' weights to one denominator.
 
     Per id the table keeps the position's branches (weight, nondeterministic
     state), the same grouped by the states' menus, its menu -> weight map,
     the total weight, and its (menu, action) steps with menus in
     observation order and each menu's actions sorted; a menu's probability
     is its weight over the total.  `child` conditions each (id, menu,
-    action) once.  The table reads the graph's maps as they are, from the
-    compiler or derived once by the graph, and holds them but not the
-    graph, which holds the table.
+    action) once.  The table reads the graph's maps and `_settled` as they
+    are, and holds them but not the graph, which holds the table.
     """
 
     def __init__(self, pts: Pts):
         self._kinds = pts.kinds
         self._action_map = pts._action_map
-        self.scale = lcm(*(weight.denominator for _, weight, _ in pts.prob_edges))
-        # The fill functions do not refer to the table, so no cycle keeps
+        self._settled = pts._settled
+        # The fill function does not refer to the table, so no cycle keeps
         # it alive after its graph is gone.
-        self._menu_of = _Filled(partial(_state_menu, pts.kinds, pts._action_map, {}))
-        self._scaled = _Filled(partial(_scaled_edges, pts._prob_map, self.scale))
+        self._menu_of = _Filled(partial(_state_menu, pts._action_map, {}))
         self.keys: list[tuple] = []
         self.branches: list[tuple[tuple[int, int], ...]] = []
         self._groups: list[dict[Menu, list[tuple[int, int]]]] = []
@@ -340,14 +382,7 @@ class Positions:
         key = ("s", state)
         pid = self._ids.get(key)
         if pid is None:
-            if self._kinds[state] == "p":
-                if not self._scaled[state]:
-                    raise ValueError(
-                        f"state {state} is probabilistic but has no outgoing edges"
-                    )
-                pid = self._intern(key, self._scaled[state])
-            else:
-                pid = self._intern(key, ((1, state),))
+            pid = self._intern(key, self._settled[state][1])
         return pid
 
     def child(self, pid: int, menu: Menu, action: str) -> int:
@@ -366,13 +401,13 @@ class Positions:
     def _condition(self, pid: int, menu: Menu, action: str) -> int:
         """From a nondeterministic state, the action successor.  From a
         probabilistic position, the branches whose menu matches, stepped
-        through the action and flattened by one probabilistic level;
+        through the action and settled over one common denominator;
         branches that land on the same state add their weights."""
         if action not in menu:
             raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
-        kinds, action_map, menu_of = self._kinds, self._action_map, self._menu_of
+        action_map, menu_of = self._action_map, self._menu_of
         key = self.keys[pid]
-        if key[0] == "s" and kinds[key[1]] == "n":
+        if key[0] == "s" and self._kinds[key[1]] == "n":
             state = key[1]
             if menu_of[state] != menu:
                 raise MenuNotOffered(
@@ -380,14 +415,19 @@ class Positions:
                     f"not {format_menu(menu)}"
                 )
             return self.start(action_map[state][action])
+        settled_of = self._settled
         acc: dict[int, int] = {}
+        common = 1
         for weight, target in self._groups[pid].get(menu, ()):
-            after = action_map[target][action]
-            if kinds[after] == "n":
-                acc[after] = acc.get(after, 0) + weight * self.scale
-            else:
-                for inner, settled in self._scaled[after]:
-                    acc[settled] = acc.get(settled, 0) + weight * inner
+            den, pairs = settled_of[action_map[target][action]]
+            if common % den:
+                # Bring the weights summed so far to the larger denominator.
+                scale = den // gcd(common, den)
+                common *= scale
+                acc = {state: value * scale for state, value in acc.items()}
+            weight *= common // den
+            for inner, state in pairs:
+                acc[state] = acc.get(state, 0) + weight * inner
         if not acc:
             raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
         if len(acc) == 1:
@@ -417,20 +457,10 @@ class Positions:
         return pid
 
 
-def _state_menu(kinds, action_map, menus: dict[Menu, Menu], state: int) -> Menu:
-    """The state's menu, one object per distinct menu."""
-    if kinds[state] != "n":
-        raise ValueError(f"state {state} is probabilistic and offers no menu")
+def _state_menu(action_map, menus: dict[Menu, Menu], state: int) -> Menu:
+    """The settled state's menu, one object per distinct menu."""
     menu = frozenset(action_map[state])
     return menus.setdefault(menu, menu)
-
-
-def _scaled_edges(prob_map, scale: int, state: int) -> tuple[tuple[int, int], ...]:
-    """The weighted edges of a probabilistic state, scaled to integers."""
-    return tuple(
-        (weight.numerator * (scale // weight.denominator), target)
-        for weight, target in prob_map[state]
-    )
 
 
 def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:

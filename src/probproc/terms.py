@@ -273,13 +273,6 @@ def shared_alphabet(left: Term, right: Term) -> frozenset[str]:
     return alphabet(left) & alphabet(right)
 
 
-def uses_success(term: Term) -> bool:
-    return any(
-        isinstance(node, ExternalChoice) and any(label == OMEGA for label, _ in node.branches)
-        for node in subterms(term)
-    )
-
-
 def has_prob_choice(term: Term) -> bool:
     return any(isinstance(node, ProbChoice) for node in subterms(term))
 

@@ -53,20 +53,21 @@ class _Outcomes:
     only `compile_term` pins; enumerated and synthesized tests never do.
 
     Running synchronizes the process state s with the test node t.  The
-    cases are tried in this order: t offers success; s is probabilistic;
-    t is probabilistic; otherwise every common label a is taken with weight
-    a / sum(common), in sorted order.  Each pair is computed once.
+    cases are tried in this order: t offers success; s is probabilistic,
+    mixing the settled states it reaches by their weights (the graph's
+    `_settled`); t is probabilistic; otherwise every common label a is taken
+    with weight a / sum(common), in sorted order.  Each pair is computed once.
 
     `of` builds every sum in that order, so its results print the same
-    however the memo was filled.  `unit_step` and `weights` serve
-    `_differing_depth`, which decides on functionals rather than tests.
+    however the memo was filled.  `unit_step` serves `_differing_depth`,
+    which decides on functionals rather than tests.
     """
 
     def __init__(self, process: Pts, steps):
         self.process = process
         self.steps = steps
+        self._settled = process._settled
         self._memo: dict[tuple[int, object], RationalFn] = {}
-        self._weights: dict[int, dict[int, Fraction]] = {}
         self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], Fraction]] = {}
 
     def of(self, test) -> RationalFn:
@@ -86,14 +87,15 @@ class _Outcomes:
         if out is None:
             action_map = self.process._action_map
             step: dict[str, dict[int, RationalFn]] = {}
-            total = Fraction(0)
-            for settled, weight in self.weights(state).items():
+            total = 0
+            den, pairs = self._settled[state]
+            for weight, settled in pairs:
                 offered = action_map[settled]
                 common = tuple(sorted(offered.keys() & labels))
                 if not common:
                     continue
                 total += weight
-                scaled = _scalar(weight)
+                scaled = _scalar(Fraction(weight, den))
                 for label, share in zip(common, _share(common)):
                     successors = step.setdefault(label, {})
                     target = offered[label]
@@ -101,23 +103,7 @@ class _Outcomes:
                     if target in successors:
                         coefficient = successors[target] + coefficient
                     successors[target] = coefficient
-            out = self._unit_steps[key] = (step, total)
-        return out
-
-    def weights(self, state: int) -> dict[int, Fraction]:
-        """The nondeterministic states the state reaches through weighted
-        steps, each with the sum over paths of the product of weights."""
-        out = self._weights.get(state)
-        if out is None:
-            kinds, prob_map = self.process.kinds, self.process._prob_map
-            out = self._weights[state] = {}
-            stack = [(state, Fraction(1))]
-            while stack:
-                settled, weight = stack.pop()
-                if kinds[settled] == "p":
-                    stack.extend((target, weight * w) for w, target in prob_map[settled])
-                else:
-                    out[settled] = out.get(settled, 0) + weight
+            out = self._unit_steps[key] = (step, Fraction(total, den))
         return out
 
     def mixed(self, weights: list[tuple[int, int]], test) -> RationalFn:
@@ -139,8 +125,9 @@ class _Outcomes:
             return _ONE
         out = _ZERO
         if process.kinds[s] == "p":
-            for weight, target in process._prob_map[s]:
-                out = out + _scalar(weight) * self._at(target, t)
+            den, pairs = self._settled[s]
+            for weight, settled in pairs:
+                out = out + _scalar(Fraction(weight, den)) * self._at(settled, t)
         elif weighted:
             for weight, target in weighted:
                 out = out + _scalar(weight) * self._at(s, target)
@@ -277,27 +264,15 @@ def count_tests(universes, max_depth: int, cap: int | None = None) -> int:
 
 def _level_universes(pts: Pts, depth: int) -> list[frozenset[str]]:
     """Actions enabled after exactly k synchronized steps, for k < depth;
-    weighted steps are followed through chains of probabilistic states."""
+    weighted steps are followed through the graph's `_settled` routine."""
+    pts.require_acyclic()
+    settled_of, action_map = pts._settled, pts._action_map
     levels: list[frozenset[str]] = []
     frontier = {pts.root}
     for _ in range(depth):
-        settled: set[int] = set()
-        stack = list(frontier)
-        while stack:
-            state = stack.pop()
-            if pts.kind(state) == "p":
-                stack.extend(target for _, target in pts.prob_successors(state))
-            else:
-                settled.add(state)
-        enabled: set[str] = set()
-        for state in settled:
-            enabled |= pts.menu(state)
-        levels.append(frozenset(enabled))
-        frontier = {
-            pts.action_successor(state, label)
-            for state in settled
-            for label in pts.menu(state)
-        }
+        settled = {state for root in frontier for _, state in settled_of[root][1]}
+        levels.append(frozenset().union(*(action_map[state] for state in settled)))
+        frontier = {dst for state in settled for dst in action_map[state].values()}
     return levels
 
 
@@ -394,9 +369,9 @@ def _label_sets(labels: frozenset[str]) -> list[tuple[str, ...]]:
 
 def _offered(coefficients: dict, outcomes: _Outcomes) -> frozenset[str]:
     """Every label some settled state of the coefficient map offers."""
-    process = outcomes.process
+    action_map, settled_of = outcomes.process._action_map, outcomes._settled
     return frozenset().union(
-        *(process.menu(settled) for state in coefficients for settled in outcomes.weights(state))
+        *(action_map[settled] for state in coefficients for _, settled in settled_of[state][1])
     )
 
 

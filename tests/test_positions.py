@@ -1,11 +1,12 @@
 """Interned positions: the integer table against the Fraction views it
-replaced, conditioning counts, and graphs too deep for recursion."""
+replaced, chained weighted steps, conditioning counts, and graphs too deep
+for recursion."""
 
 import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from probproc.harness import (
     equivalent_pair,
     prefix_distribution_pair,
     random_priority_order,
+    raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
 from probproc.pts import MenuNotOffered, Positions, Pts, format_menu, tree_signature
@@ -304,16 +306,89 @@ def test_one_position_per_distinct_distribution():
 
 def test_probabilistic_state_without_edges_is_refused():
     # Its menu weights would total zero, which no cross-multiplication can
-    # compare; validate reports the same graph.
+    # compare; validate reports the same graph.  Both semantics refuse it,
+    # also behind a weighted step.
     empty = Pts.build({"a"}, {0: "p"}, [], [], 0)
+    behind = Pts.build({"a"}, {0: "p", 1: "p", 2: "n"}, [], [(0, 1, 1)], 0)
     offer = compile_term(parse_term("a"))
+    probe = compile_term(parse_test("a->w"))
     for call in (
         lambda: ready_trace_equivalent(empty, offer),
         lambda: ready_trace_equivalent(offer, empty),
         lambda: trace_probability(empty, ReadyTrace((frozenset(),), ())),
+        lambda: ready_trace_equivalent(behind, offer),
+        lambda: apply_test(empty, probe),
+        lambda: apply_test(behind, probe),
+        lambda: testing.bounded_testing_equivalent(behind, offer),
     ):
         with pytest.raises(ValueError, match="no outgoing edges"):
             call()
+
+
+# --- chained weighted steps ---------------------------------------------------
+
+
+def _chained(pts: Pts, rng: random.Random) -> Pts:
+    """The graph rebuilt with `Pts.build` so that weighted edges pass through
+    fresh probabilistic states: each edge is kept, routed through a chain of
+    one or two fresh states, or split into a direct part and a routed part
+    whose weights add up to the edge's.  The first edge is always split,
+    and the root sits under a fresh weight-one state half the time."""
+    fresh = count(max(pts.kinds) + 1)
+    kinds = dict(pts.kinds)
+    weighted = []
+
+    def routed(src, weight, dst):
+        for _ in range(rng.randint(1, 2)):
+            step = next(fresh)
+            kinds[step] = "p"
+            weighted.append((src, weight, step))
+            src, weight = step, F(1)
+        weighted.append((src, weight, dst))
+
+    for index, (src, weight, dst) in enumerate(pts.prob_edges):
+        shape = "split" if index == 0 else rng.choice(("keep", "route", "split"))
+        if shape == "keep":
+            weighted.append((src, weight, dst))
+        elif shape == "route":
+            routed(src, weight, dst)
+        else:
+            part = weight * F(rng.randint(1, 3), 4)
+            weighted.append((src, part, dst))
+            routed(src, weight - part, dst)
+    root = pts.root
+    if rng.random() < 0.5:
+        root = next(fresh)
+        kinds[root] = "p"
+        routed(root, F(1), pts.root)
+    return Pts.build(pts.alphabet, kinds, pts.action_edges, weighted, root)
+
+
+@pytest.mark.parametrize("seed", [2009, 20260809])
+def test_chained_weighted_steps_change_nothing(seed):
+    """Both semantics read weighted steps through one closure, so a graph
+    whose weighted edges run through chains of fresh probabilistic states,
+    or split into paths whose weights add, gives every verdict, trace,
+    probability and witness of the graph it was built from."""
+    rng = random.Random(seed)
+    distinguished = 0
+    for left, right in _corpus(seed, 30):
+        chained = (_chained(left, rng), _chained(right, rng))
+        assert ready_trace_equivalent(*chained) == ready_trace_equivalent(left, right)
+        tested = testing.bounded_testing_equivalent(left, right)
+        assert testing.bounded_testing_equivalent(*chained).describe() == tested.describe()
+        witness = distinguishing_test(left, right)
+        assert distinguishing_test(*chained) == witness
+        distinguished += witness is not None
+        for flat, graph in zip((left, right), chained):
+            chains = any(graph.kinds[dst] == "p" for _, _, dst in graph.prob_edges)
+            assert chains == bool(flat.prob_edges)
+            traces = list(iter_ready_traces(flat))
+            assert list(iter_ready_traces(graph)) == traces
+            for trace, probability in traces:
+                assert trace_probability(graph, trace) == probability
+                assert raw_trace_probability(graph, trace) == probability
+    assert 20 < distinguished < 40
 
 
 # --- counting ----------------------------------------------------------------

@@ -32,7 +32,6 @@ from probproc.terms import (
     shared_alphabet,
     subterms,
     success,
-    uses_success,
 )
 
 F = Fraction
@@ -146,7 +145,6 @@ def test_traversals_survive_deep_terms():
     for _ in range(10_000):
         term = prefix("a", term)
     assert alphabet(term) == frozenset({"a"})
-    assert uses_success(term) is False
     assert has_prob_choice(term) is False
     with pytest.raises(TypeError, match="not a term"):
         compile_term(object())

@@ -23,11 +23,12 @@ from probproc.harness import (
     equivalent_pair,
     random_priority_order,
     random_term,
+    raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
 from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
-from probproc.readytrace import ready_trace_equivalent
+from probproc.readytrace import iter_ready_traces, menu_distribution, ready_trace_equivalent
 from probproc.semantics import _Compiler, compile_term
 from probproc.terms import (
     EMPTY_ORDER,
@@ -444,10 +445,24 @@ def test_weights_sum_over_paths():
         root=0,
     )
     flat = graph("p{3/4:(a->c->0 [] b->0), 1/4:a->0}")
-    assert _Outcomes(chain, _Compiler(EMPTY_ORDER)).weights(0) == {2: F(3, 4), 3: F(1, 4)}
+    # The one weighted closure both semantics read: 3/4 and 1/4 over 4.
+    assert _Outcomes(chain, _Compiler(EMPTY_ORDER))._settled[0] == (4, ((3, 2), (1, 3)))
     assert _decided(chain, flat, 3) is None
     verdict = bounded_testing_equivalent(chain, flat)
     assert verdict.equivalent and verdict.depth == 3
+    assert ready_trace_equivalent(chain, flat).equivalent
+    assert distinguishing_test(chain, flat) is None
+    assert menu_distribution(chain) == {frozenset("ab"): F(3, 4), frozenset("a"): F(1, 4)}
+    traces = list(iter_ready_traces(chain))
+    assert [trace for trace, _ in traces] == [trace for trace, _ in iter_ready_traces(flat)]
+    for trace, probability in traces:
+        assert probability == raw_trace_probability(chain, trace) > 0
+
+    other = graph("p{1/2:(a->c->0 [] b->0), 1/2:a->0}")
+    assert not ready_trace_equivalent(chain, other).equivalent
+    assert not bounded_testing_equivalent(chain, other).equivalent
+    witness = compile_term(distinguishing_test(chain, other))
+    assert apply_test(chain, witness) != apply_test(other, witness)
 
 
 def test_search_matches_canonical_outcomes():
