@@ -71,6 +71,9 @@ _LABEL_POOL = ("a", "b", "c", "d")
 _MAX_BRANCHING = 3
 _MAX_WEIGHT_DENOMINATOR = 8
 
+# The most tests the coincidence suite enumerates for an equivalent pair.
+_COINCIDENCE_BUDGET = 1500
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -349,27 +352,27 @@ def _equivalence(
     return verdict.equivalent, detail
 
 
-def _budget_depth(left: Pts, right: Pts, budget: int = 1500) -> int:
-    """Largest test depth whose full enumeration stays within the budget."""
+def _budget_depth(left: Pts, right: Pts) -> int:
+    """Largest test depth whose full enumeration stays within `_COINCIDENCE_BUDGET`."""
     full = max(left.action_depth, right.action_depth) + 1
     # The level universes of a smaller depth are a prefix of these, and a
     # count reads only the levels below its depth.
     universes = relevant_universes(left, right, full)
     depth = 1
     for candidate in range(1, full + 1):
-        if count_tests(universes, candidate) > budget:
+        if count_tests(universes, candidate) > _COINCIDENCE_BUDGET:
             break
         depth = candidate
     return depth
 
 
 def _coincidence_error(
-    left: Pts, right: Pts, equivalent: bool, budget: int, detail: dict
+    left: Pts, right: Pts, equivalent: bool, detail: dict
 ) -> tuple[str | None, Term | None]:
     """The error of a coincidence sample, None when it passes, and the test
     its detail shows; records the testing depth of an equivalent pair."""
     if equivalent:
-        depth = detail["testing_depth"] = _budget_depth(left, right, budget)
+        depth = detail["testing_depth"] = _budget_depth(left, right)
         verdict = bounded_testing_equivalent(left, right, depth=depth)
         if verdict.equivalent:
             return None, None
@@ -391,9 +394,7 @@ def _coincidence_error(
     return None, found.test
 
 
-def check_coincidence(
-    cfg: GenConfig, n_samples: int = 200, budget: int = 1500
-) -> CheckReport:
+def check_coincidence(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
     """Ready-trace and bounded testing verdicts must agree on every pair.
 
     Distinguished pairs must additionally yield a synthesized witness test
@@ -423,7 +424,7 @@ def check_coincidence(
                 "right": render(right_term),
                 "ready_trace_equivalent": equivalent,
             }
-            error, test = _coincidence_error(left, right, equivalent, budget, detail)
+            error, test = _coincidence_error(left, right, equivalent, detail)
             if error is not None:
                 detail["error"] = error
             if test is not None:

@@ -22,7 +22,7 @@ weights when the graph is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from hashlib import blake2b
@@ -283,19 +283,15 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
 
 # --- positions and conditioning ---------------------------------------------
 #
-# A position is either an actual state or a distribution over
-# nondeterministic states produced by conditioning a probabilistic state on
-# an observed menu.  Each graph interns its positions in one table, built as
-# positions are first asked for and kept on the graph (`Pts.positions`).
+# A position is a distribution over settled (nondeterministic) states, all
+# that an observer can know: a state is the distribution it settles into, so
+# a settled state is the one-point distribution on itself.  Each graph interns
+# its positions in one table, built as they are first asked for and kept on
+# the graph (`Pts.positions`).
 
 
 def format_menu(menu: Menu) -> str:
     return "{" + ",".join(sorted(menu)) + "}"
-
-
-def _menu_key(menu: Menu):
-    """Observation order of menus: by size, then by sorted labels."""
-    return (len(menu), tuple(sorted(menu)))
 
 
 class _Filled(dict):
@@ -345,45 +341,37 @@ def _settle(kinds, prob_map, state: int) -> tuple[int, tuple[tuple[int, int], ..
 class Positions:
     """The positions of one graph, interned to ints.
 
-    A position's key is ("s", state) for an actual state, or for a
-    distribution the tuple of its (weight, state) pairs sorted by state,
-    with integer weights proportional to the probabilities and reduced by
-    their gcd, so equal distributions get one id.  Weighted steps are read
-    through the graph's `_settled` routine only, and each conditioning
-    brings its branches' weights to one denominator.
+    A position's key is its distribution, which is also its list of
+    branches: the (weight, settled state) pairs sorted by state, with integer
+    weights proportional to the probabilities and reduced by their gcd, so
+    equal distributions get one id.  `start` interns the distribution that a
+    state settles into; each conditioning brings its branches' weights to
+    one denominator before it interns the result.
 
-    Per id the table keeps the position's branches (weight, nondeterministic
-    state), the same grouped by the states' menus, its menu -> weight map,
-    the total weight, and its (menu, action) steps with menus in
-    observation order and each menu's actions sorted; a menu's probability
+    Per id the table keeps the key, its branches grouped by the states'
+    menus, its menu -> weight map and the total weight; a menu's probability
     is its weight over the total.  `child` conditions each (id, menu,
-    action) once.  The table reads the graph's maps and `_settled` as they
-    are, and holds them but not the graph, which holds the table.
+    action) once.  The table reads only the graph's action map and weighted
+    closure (`_settled`), and holds them but not the graph, which holds the
+    table.
     """
 
     def __init__(self, pts: Pts):
-        self._kinds = pts.kinds
         self._action_map = pts._action_map
         self._settled = pts._settled
         # The fill function does not refer to the table, so no cycle keeps
         # it alive after its graph is gone.
         self._menu_of = _Filled(partial(_state_menu, pts._action_map, {}))
-        self.keys: list[tuple] = []
-        self.branches: list[tuple[tuple[int, int], ...]] = []
+        self.keys: list[tuple[tuple[int, int], ...]] = []
         self._groups: list[dict[Menu, list[tuple[int, int]]]] = []
         self.menus: list[dict[Menu, int]] = []
         self.totals: list[int] = []
-        self.steps: list[tuple[tuple[Menu, str], ...]] = []
         self._ids: dict[tuple, int] = {}
         self._children: dict[tuple[int, Menu, str], int] = {}
 
     def start(self, state: int) -> int:
-        """The id of the position at an actual state."""
-        key = ("s", state)
-        pid = self._ids.get(key)
-        if pid is None:
-            pid = self._intern(key, self._settled[state][1])
-        return pid
+        """The id of the distribution that the state settles into."""
+        return self._interned({settled: weight for weight, settled in self._settled[state][1]})
 
     def child(self, pid: int, menu: Menu, action: str) -> int:
         """The position after the menu was observed and the action performed."""
@@ -399,23 +387,12 @@ class Positions:
         return {menu: Fraction(weight, total) for menu, weight in self.menus[pid].items()}
 
     def _condition(self, pid: int, menu: Menu, action: str) -> int:
-        """From a nondeterministic state, the action successor.  From a
-        probabilistic position, the branches whose menu matches, stepped
-        through the action and settled over one common denominator;
-        branches that land on the same state add their weights."""
+        """The branches whose menu matches, stepped through the action and
+        settled over one common denominator; branches that land on the same
+        state add their weights."""
         if action not in menu:
             raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
-        action_map, menu_of = self._action_map, self._menu_of
-        key = self.keys[pid]
-        if key[0] == "s" and self._kinds[key[1]] == "n":
-            state = key[1]
-            if menu_of[state] != menu:
-                raise MenuNotOffered(
-                    f"state {state} offers {format_menu(menu_of[state])}, "
-                    f"not {format_menu(menu)}"
-                )
-            return self.start(action_map[state][action])
-        settled_of = self._settled
+        action_map, settled_of = self._action_map, self._settled
         acc: dict[int, int] = {}
         common = 1
         for weight, target in self._groups[pid].get(menu, ()):
@@ -430,30 +407,28 @@ class Positions:
                 acc[state] = acc.get(state, 0) + weight * inner
         if not acc:
             raise MenuNotOffered(f"menu {format_menu(menu)} has probability zero here")
-        if len(acc) == 1:
-            key = ((1, *acc),)
-        else:
-            divisor = gcd(*acc.values())
-            key = tuple((acc[settled] // divisor, settled) for settled in sorted(acc))
-        out = self._ids.get(key)
-        if out is None:
-            out = self._intern(key, key)
-        return out
+        return self._interned(acc)
 
-    def _intern(self, key: tuple, branches: tuple[tuple[int, int], ...]) -> int:
+    def _interned(self, weights: dict[int, int]) -> int:
+        """The id of the distribution with these positive weights by state."""
+        if len(weights) == 1:
+            key = ((1, *weights),)
+        else:
+            divisor = gcd(*weights.values())
+            key = tuple((weights[state] // divisor, state) for state in sorted(weights))
+        pid = self._ids.get(key)
+        if pid is not None:
+            return pid
         menu_of = self._menu_of
         groups: dict[Menu, list[tuple[int, int]]] = {}
-        for branch in branches:
+        for branch in key:
             groups.setdefault(menu_of[branch[1]], []).append(branch)
         menus = {menu: sum(weight for weight, _ in group) for menu, group in groups.items()}
-        ordered = sorted(menus, key=_menu_key) if len(menus) > 1 else menus
         pid = self._ids[key] = len(self.keys)
         self.keys.append(key)
-        self.branches.append(branches)
         self._groups.append(groups)
         self.menus.append(menus)
         self.totals.append(sum(menus.values()))
-        self.steps.append(tuple((menu, action) for menu in ordered for action in sorted(menu)))
         return pid
 
 
@@ -466,32 +441,20 @@ def _state_menu(action_map, menus: dict[Menu, Menu], state: int) -> Menu:
 def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
     """The continuation of `state` given that `menu` was offered and `action` taken.
 
-    For a nondeterministic state the result is the graph re-rooted at the
-    action successor.  For a probabilistic state it gets a fresh root whose
+    The step is checked through the graph's position table.  For a
+    nondeterministic state the result is the graph re-rooted at the action
+    successor.  For a probabilistic state it gets a fresh root whose
     weighted edges are the conditioned distribution.
     """
     pts.require_acyclic()
     table = pts.positions
-    key = table.keys[table.child(table.start(state), frozenset(menu), action)]
-    if key[0] == "s":
-        return Pts(
-            alphabet=pts.alphabet,
-            kinds=pts.kinds,
-            action_edges=pts.action_edges,
-            prob_edges=pts.prob_edges,
-            root=key[1],
-        )
-    fresh = max(pts.kinds) + 1
-    kinds = dict(pts.kinds)
-    kinds[fresh] = "p"
-    total = sum(weight for weight, _ in key)
-    return Pts(
-        alphabet=pts.alphabet,
-        kinds=kinds,
-        action_edges=pts.action_edges,
-        prob_edges=pts.prob_edges
-        + tuple((fresh, Fraction(weight, total), target) for weight, target in key),
-        root=fresh,
+    pid = table.child(table.start(state), frozenset(menu), action)
+    if pts.kinds[state] == "n":
+        return replace(pts, root=pts._action_map[state][action])
+    fresh, total = max(pts.kinds) + 1, table.totals[pid]
+    edges = tuple((fresh, Fraction(weight, total), target) for weight, target in table.keys[pid])
+    return replace(
+        pts, kinds={**pts.kinds, fresh: "p"}, prob_edges=pts.prob_edges + edges, root=fresh
     )
 
 

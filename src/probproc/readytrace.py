@@ -22,12 +22,20 @@ are built only for the probabilities returned.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+from .parser import _word_kind
 from .pts import Menu, Positions, Pts, format_menu
-from .pts import _menu_key as menu_key
+
+_WORD = re.compile(r"\w+")
+
+
+def menu_key(menu: Menu):
+    """Observation order of menus: by size, then by sorted labels."""
+    return (len(menu), tuple(sorted(menu)))
 
 
 class _UndefinedType:
@@ -90,7 +98,8 @@ class ReadyTrace:
 
 
 def parse_trace(text: str) -> ReadyTrace:
-    """Parse the rendering `{h,t} -h-> {p} -p-> {}`."""
+    """Parse the rendering `{h,t} -h-> {p} -p-> {}`; each menu label and
+    action must be a label as the term parser reads it."""
     menus: list[Menu] = []
     actions: list[str] = []
     rest = text.strip()
@@ -100,8 +109,8 @@ def parse_trace(text: str) -> ReadyTrace:
         close = rest.find("}")
         if close < 0:
             raise ValueError(f"unterminated menu in {text!r}")
-        inside = rest[1:close].strip()
-        menus.append(frozenset(part.strip() for part in inside.split(",") if part.strip()))
+        inside = rest[1:close]
+        menus.append(frozenset(map(_label, inside.split(","))) if inside.strip() else frozenset())
         rest = rest[close + 1 :].strip()
         if not rest:
             break
@@ -110,9 +119,17 @@ def parse_trace(text: str) -> ReadyTrace:
         arrow = rest.find("->")
         if arrow < 0:
             raise ValueError(f"malformed arrow in {text!r}")
-        actions.append(rest[1:arrow].strip())
+        actions.append(_label(rest[1:arrow]))
         rest = rest[arrow + 2 :].strip()
     return ReadyTrace(tuple(menus), tuple(actions))
+
+
+def _label(word: str) -> str:
+    """The stripped word, if the term parser reads it as one label."""
+    label = word.strip()
+    if _WORD.fullmatch(label) and _word_kind(label) == "name":
+        return label
+    raise ValueError(f"malformed label {label!r} in a ready trace")
 
 
 # --- probabilities ---------------------------------------------------------
@@ -255,7 +272,8 @@ def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dic
                 memo[pair] = (menu,)
                 stack.pop()
                 continue
-            steps = frame[1] = iter(lt.steps[pair[0]])
+            ordered = sorted(lt.menus[pair[0]], key=menu_key)
+            steps = frame[1] = ((menu, action) for menu in ordered for action in sorted(menu))
         for menu, action in steps:
             child = (lt.child(pair[0], menu, action), rt.child(pair[1], menu, action))
             if child not in memo:

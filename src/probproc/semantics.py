@@ -40,7 +40,7 @@ from .terms import (
     _stored_hash,
     alphabet,
     children,
-    map_children,
+    rebuild,
 )
 
 
@@ -71,24 +71,36 @@ def _pin_sync_sets(term: Term):
     Each |[]| takes its operands' alphabets from this same walk, so a chain
     of compositions is visited once rather than once per |[]| above it.  A
     subterm without |[]| is returned as it is, with its alphabet, so the walk
-    descends only along paths that lead to a |[]|.
+    descends only along paths that lead to a |[]|.  The walk keeps its own
+    stack, so any depth is fine.
     """
-    if isinstance(term, SharedPar):
-        left, left_labels = _pin_sync_sets(term.left)
-        right, right_labels = _pin_sync_sets(term.right)
-        return _Shared(left, right, left_labels & right_labels), left_labels | right_labels
-    if not isinstance(term, (ExternalChoice, ProbChoice, Priority, SyncPar)) or not term._shared:
-        return term, alphabet(term)  # alphabet refuses what is not a term
-    labels: set[str] = set()
-    if isinstance(term, ExternalChoice):
-        labels.update(label for label, _ in term.branches if label != OMEGA)
-
-    def pin(child: Term):
-        pinned, child_labels = _pin_sync_sets(child)
-        labels.update(child_labels)
-        return pinned
-
-    return map_children(term, pin), frozenset(labels)
+    done: list[tuple[Term, frozenset[str]]] = []
+    stack = [(term, -1)]  # (node, -1) to visit; (node, n) to rebuild from the last n done
+    while stack:
+        node, count = stack.pop()
+        if count > 0:
+            pinned = done[-count:]
+            del done[-count:]
+            if isinstance(node, SharedPar):
+                (left, left_labels), (right, right_labels) = pinned
+                shared = _Shared(left, right, left_labels & right_labels)
+                done.append((shared, left_labels | right_labels))
+                continue
+            labels: set[str] = set()
+            if isinstance(node, ExternalChoice):
+                labels.update(label for label, _ in node.branches if label != OMEGA)
+            for _, sub_labels in pinned:
+                labels |= sub_labels
+            done.append((rebuild(node, [sub for sub, _ in pinned]), frozenset(labels)))
+        elif isinstance(node, SharedPar) or (
+            isinstance(node, (ExternalChoice, ProbChoice, Priority, SyncPar)) and node._shared
+        ):
+            subs = children(node)
+            stack.append((node, len(subs)))
+            stack += [(sub, -1) for sub in reversed(subs)]
+        else:
+            done.append((node, alphabet(node)))  # alphabet refuses what is not a term
+    return done[0]
 
 
 class _Compiler:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import is_
 from typing import Callable, Iterator, Union
 
 from .pts import OMEGA
@@ -208,22 +209,18 @@ def map_children(term: Term, fn: Callable[[Term], object]) -> Term:
     When `fn` returns every subterm itself, the term itself is returned, so a
     rewrite rebuilds only the nodes above the subterms it changes.
     """
+    subs = children(term)
+    new = [fn(sub) for sub in subs]
+    return term if all(map(is_, new, subs)) else rebuild(term, new)
+
+
+def rebuild(term: Term, subs: list) -> Term:
+    """The same constructor over new immediate subterms, in `children` order."""
     if isinstance(term, (ExternalChoice, ProbChoice)):
-        subs = [fn(sub) for _, sub in term.branches]
-        if all(new is old for new, (_, old) in zip(subs, term.branches)):
-            return term
         return type(term)(tuple((key, new) for (key, _), new in zip(term.branches, subs)))
     if isinstance(term, Priority):
-        body = fn(term.body)
-        return term if body is term.body else Priority(body)
-    if isinstance(term, (SyncPar, SharedPar)):
-        left, right = fn(term.left), fn(term.right)
-        if left is term.left and right is term.right:
-            return term
-        return type(term)(left, right)
-    if isinstance(term, Empty):
-        return term
-    raise TypeError(f"not a term: {term!r}")
+        return Priority(*subs)
+    return type(term)(*subs)  # SyncPar or SharedPar
 
 
 def subterms(term: Term) -> Iterator[Term]:

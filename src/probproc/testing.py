@@ -528,8 +528,8 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
         # A candidate's outcome at a position is the sum of weight *
         # outcome(state) over its branches, divided by the total; the sides
         # are compared with each sum scaled by the other side's total.
-        lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.branches[lpos]]
-        rweights = [(weight * lt.totals[lpos], state) for weight, state in rt.branches[rpos]]
+        lweights = [(weight * rt.totals[rpos], state) for weight, state in lt.keys[lpos]]
+        rweights = [(weight * lt.totals[lpos], state) for weight, state in rt.keys[rpos]]
         witness = next(
             (
                 candidate

@@ -93,6 +93,22 @@ def test_trace_prob(capsys):
     assert out.strip() == "undefined"
 
 
+def test_trace_prob_refuses_a_malformed_trace(capsys):
+    # The unclosed first menu once read as the one label "a -a-> {".
+    for trace, shown in [
+        ("{a -a-> {}", "'a -a-> {'"),
+        ("{a,} -a-> {}", "''"),
+        ("{a} -1-> {}", "'1'"),
+        ("{a} -a b-> {}", "'a b'"),
+        ("{2a}", "'2a'"),
+    ]:
+        code, out, err = run_cli(capsys, "trace-prob", "a->0", "--trace", trace)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed label {shown} in a ready trace\n"
+    code, out, _ = run_cli(capsys, "trace-prob", "a->0", "--trace", " { a } -a-> { } ")
+    assert (code, out) == (0, "1\n")
+
+
 def test_distinguish(capsys):
     code, out, _ = run_cli(capsys, "distinguish", MIXED_FOLLOWUP_FIRST, MIXED_FOLLOWUP_SECOND)
     assert code == 1
@@ -178,6 +194,23 @@ def test_deep_prefix_chains_get_answers_from_every_command():
             env={**os.environ, "PYTHONPATH": src},
         )
         assert (argv[0], done.returncode, done.stderr) == (argv[0], code, "")
+
+
+def test_equiv_answers_a_deep_chain_above_a_shared_composition():
+    # Pinning the |[]| walks with its own stack; parsing is still recursive,
+    # so the chain stays below the parser's depth limit.
+    src = str(Path(probproc.__file__).resolve().parents[1])
+    deep = "a->" * 450 + "(b |[]| c)"
+    other = "a->" * 450 + "(b |[]| d)"
+    for right, code in [(deep, 0), (other, 1)]:
+        done = subprocess.run(
+            [sys.executable, "-m", "probproc.cli", "equiv", deep, right],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (code, "")
+        assert done.stdout.splitlines()[0] == ("equivalent" if code == 0 else "distinguished")
 
 
 def test_interleaving_clash_is_refused_also_without_asserts():

@@ -282,9 +282,19 @@ def test_table_matches_the_fraction_views(seed):
                 assert trace_probability(pts, trace) == p
 
 
+def _ref_distribution(pts, view):
+    """A view's distribution over settled states, as (state, probability)
+    pairs sorted by state."""
+    if view[0] == "d":
+        return view[1]
+    if pts.kind(view[1]) == "n":
+        return ((view[1], F(1)),)
+    return tuple(sorted((state, weight) for weight, state in pts.prob_successors(view[1])))
+
+
 def test_one_position_per_distinct_distribution():
-    """Exploring every step from the root interns exactly as many positions
-    as there are distinct reference views, and each key is gcd-reduced."""
+    """Exploring every step from the root interns exactly one position per
+    distinct reference distribution, and each key is gcd-reduced."""
     for left, right in _corpus(7, 40):
         for pts in (left, right):
             table = pts.positions
@@ -292,16 +302,30 @@ def test_one_position_per_distinct_distribution():
             seen = set(frontier)
             while frontier:
                 pid = frontier.pop()
-                for menu, action in table.steps[pid]:
-                    child = table.child(pid, menu, action)
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
-            assert len(table.keys) == len(seen) == len(_ref_views(pts))
-            for key in table.keys:
-                if key[0] != "s":
-                    weights = [weight for weight, _ in key]
-                    assert min(weights) >= 1 and gcd(*weights) == 1
+                for menu in table.menus[pid]:
+                    for action in menu:
+                        child = table.child(pid, menu, action)
+                        if child not in seen:
+                            seen.add(child)
+                            frontier.append(child)
+            distributions = {_ref_distribution(pts, view) for view in _ref_views(pts)}
+            assert len(table.keys) == len(seen) == len(distributions)
+            for pid, key in enumerate(table.keys):
+                weights = [weight for weight, _ in key]
+                assert min(weights) >= 1 and gcd(*weights) == 1
+                assert sum(weights) == table.totals[pid]
+                assert tuple((state, F(w, table.totals[pid])) for w, state in key) in distributions
+
+
+def test_a_settled_state_is_its_one_point_distribution():
+    """Conditioning that lands on one state gives the id of that state's
+    own start, so a random choice leaves no trace in the table."""
+    pts = compile_term(parse_term("p{1/2: a->b, 1/2: c}"))
+    table = pts.positions
+    after = table.child(table.start(pts.root), frozenset("a"), "a")
+    (state,) = [s for s, kind in pts.kinds.items() if kind == "n" and pts.menu(s) == {"b"}]
+    assert table.start(state) == after
+    assert table.keys[after] == ((1, state),)
 
 
 def test_probabilistic_state_without_edges_is_refused():

@@ -24,6 +24,7 @@ from probproc.harness import (
 )
 from probproc.parser import parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
+from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
 from probproc.terms import (
     EMPTY_ORDER,
@@ -232,7 +233,7 @@ def test_pinning_a_chain_visits_each_node_once(monkeypatch):
     """Each |[]| takes its operands' alphabets from the walk below it rather
     than walking them again, so a chain of n compositions costs O(n) node
     visits, not O(n^2).  A visit is a call of `children` (which every
-    generic traversal makes) or of `map_children`."""
+    generic traversal makes) or of `rebuild`."""
     chain = prefix("a0")
     for i in range(1, 300):
         chain = SharedPar(chain, prefix(f"a{i}", prefix(f"a{i - 1}")))
@@ -248,12 +249,30 @@ def test_pinning_a_chain_visits_each_node_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(terms, "children", counted(terms.children))
-    monkeypatch.setattr(semantics, "map_children", counted(terms.map_children))
+    monkeypatch.setattr(semantics, "children", counted(terms.children))
+    monkeypatch.setattr(semantics, "rebuild", counted(terms.rebuild))
     pinned, _ = _pin_sync_sets(chain)
     assert visits <= nodes
     for i in reversed(range(1, 300)):
         assert pinned.sync == frozenset({f"a{i - 1}"})
         pinned = pinned.left
+
+
+def test_pinning_survives_deep_chains():
+    """A prefix chain 10^4 deep above b |[]| c compiles and is decided."""
+
+    def chain(last):
+        term = SharedPar(prefix("b"), prefix(last))
+        for _ in range(10_000):
+            term = prefix("a", term)
+        return term
+
+    left = compile_term(chain("c"))
+    assert len(left.kinds) == 10_004
+    assert ready_trace_equivalent(left, compile_term(chain("c"))).equivalent
+    verdict = ready_trace_equivalent(left, compile_term(chain("d")))
+    assert verdict.trace.menus[-1] == frozenset("bc")
+    assert len(verdict.trace) == 10_001
 
 
 def _naive_chain_warnings(parts):
