@@ -14,20 +14,15 @@ from .pts import (
     MenuNotOffered,
     OMEGA,
     Pts,
-    derived_process,
-    from_json,
     to_dot,
     to_json,
-    tree_signature,
     validate,
 )
-from .ratfunc import RationalFn, format_ratfunc, parse_ratfunc
+from .ratfunc import RationalFn, format_ratfunc
 from .readytrace import (
     ReadyTrace,
     TraceVerdict,
     UNDEFINED,
-    conditional_menu_probability,
-    iter_ready_traces,
     menu_distribution,
     parse_trace,
     ready_trace_equivalent,
@@ -46,14 +41,12 @@ from .terms import (
     alphabet,
     prefix,
     render,
-    shared_alphabet,
     success,
 )
 from .testing import (
     TestVerdict,
     count_tests,
     distinguishing_test,
-    iter_tests,
     apply_test,
     bounded_testing_equivalent,
 )

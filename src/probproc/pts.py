@@ -6,8 +6,8 @@ weights summing to one).  A state with no outgoing edge must be tagged "n".
 No two action edges share a source and label, so the choice offered by a
 nondeterministic state is between actions only.
 
-`validate` and `from_json` refuse a weighted edge to a probabilistic state,
-and `compile_term` never makes one, but a graph built by hand may chain
+`validate` reports a weighted edge to a probabilistic state, and
+`compile_term` never makes one, but a graph built by hand may chain
 weighted steps.  Both semantics read weighted steps through one routine per
 graph (`Pts._settled`): the settled (nondeterministic) states a state
 reaches, with the weights multiplied along each path and added over paths,
@@ -22,10 +22,9 @@ weights when the graph is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from hashlib import blake2b
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
@@ -67,9 +66,9 @@ class Pts:
 
     `compile_term` builds the maps in its walk and hands them, with the fact
     that the graph is acyclic, to `Pts.with_maps`.  `Pts.build` is the
-    constructor from edges (for `from_json` and hand-made graphs): it merges
-    duplicate weighted edges, and such a graph derives its maps from its
-    edges when first asked.
+    constructor from edges, for hand-made graphs: it merges duplicate
+    weighted edges, and such a graph derives its maps from its edges when
+    first asked.
     """
 
     alphabet: frozenset[str]
@@ -116,7 +115,8 @@ class Pts:
 
     # Each state's action map and weighted tuple, `{}` and `()` for a state of
     # the other kind.  Derived here only for a graph built from edges, which
-    # may have an edge with an end that is not in `kinds`: it is refused.
+    # may have an edge with an end that is not in `kinds`, or a weight
+    # outside (0,1]: both are refused, in `validate`'s words.
 
     @cached_property
     def _action_map(self) -> dict[int, dict[str, int]]:
@@ -133,6 +133,8 @@ class Pts:
         for src, weight, dst in self.prob_edges:
             if src not in out or dst not in out:
                 raise ValueError(f"edge ({src},{weight},{dst}) uses unknown state")
+            if not 0 < weight <= 1:
+                raise ValueError(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
             out[src].append((weight, dst))
         return {s: tuple(v) for s, v in out.items()}
 
@@ -438,56 +440,6 @@ def _state_menu(action_map, menus: dict[Menu, Menu], state: int) -> Menu:
     return menus.setdefault(menu, menu)
 
 
-def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
-    """The continuation of `state` given that `menu` was offered and `action` taken.
-
-    The step is checked through the graph's position table.  For a
-    nondeterministic state the result is the graph re-rooted at the action
-    successor.  For a probabilistic state it gets a fresh root whose
-    weighted edges are the conditioned distribution.
-    """
-    pts.require_acyclic()
-    table = pts.positions
-    pid = table.child(table.start(state), frozenset(menu), action)
-    if pts.kinds[state] == "n":
-        return replace(pts, root=pts._action_map[state][action])
-    fresh, total = max(pts.kinds) + 1, table.totals[pid]
-    edges = tuple((fresh, Fraction(weight, total), target) for weight, target in table.keys[pid])
-    return replace(
-        pts, kinds={**pts.kinds, fresh: "p"}, prob_edges=pts.prob_edges + edges, root=fresh
-    )
-
-
-def tree_signature(pts: Pts, state: int | None = None):
-    """Canonical form of the tree unfolding below a state.
-
-    Two graphs have equal signatures exactly when their unfoldings are
-    isomorphic as ordered-by-label trees, which is the natural reading of
-    "the same graph up to state names" for acyclic systems that may share
-    structurally equal substates.
-
-    Weighted siblings are ordered by weight, then by a digest built
-    bottom-up from their children's digests, so one loop over the graph's
-    order builds every signature in linear time, however deep.  `==`
-    between signatures of two different graphs still compares their
-    unfoldings, which may be exponentially larger than the graphs.
-    """
-    pts.require_acyclic()
-    signatures: dict[int, tuple] = {}
-    digests: dict[int, bytes] = {}
-    for node in pts._order:
-        if pts.kinds[node] == "n":
-            tag, children = "n", sorted(pts._action_map[node].items())
-        else:
-            tag, children = "p", sorted(
-                pts._prob_map[node], key=lambda pair: (pair[0], digests[pair[1]])
-            )
-        signatures[node] = (tag, tuple((key, signatures[dst]) for key, dst in children))
-        shape = (tag, tuple((key, digests[dst]) for key, dst in children))
-        digests[node] = blake2b(repr(shape).encode(), digest_size=16).digest()
-    return signatures[pts.root if state is None else state]
-
-
 def to_json(pts: Pts) -> str:
     doc = {
         "alphabet": sorted(pts.alphabet),
@@ -505,47 +457,6 @@ def to_json(pts: Pts) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
-
-
-def from_json(text: str) -> Pts:
-    """Load a graph written by to_json.
-
-    Every malformed document raises ValueError with one line: what is
-    missing or of the wrong type, or what validate reports.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"invalid graph: expected a JSON object, got {type(doc).__name__}")
-    try:
-        pts = Pts.build(
-            alphabet=doc["alphabet"],
-            kinds={entry["id"]: entry["kind"] for entry in doc["states"]},
-            action_edges=[
-                (edge["from"], edge["label"], edge["to"]) for edge in doc["action_edges"]
-            ],
-            prob_edges=[
-                (edge["from"], _weight(edge), edge["to"]) for edge in doc["prob_edges"]
-            ],
-            root=doc["root"],
-        )
-        problems = validate(pts, allow_success=True)
-    except KeyError as exc:
-        raise ValueError(f"invalid graph: missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"invalid graph: malformed entry ({exc})") from None
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
-    return pts
-
-
-def _weight(edge: dict) -> Fraction:
-    try:
-        return Fraction(edge["weight"])
-    except (ValueError, ArithmeticError):
-        raise ValueError(
-            f"invalid graph: weight {edge['weight']!r} of edge "
-            f"({edge['from']},{edge['to']}) is not a fraction"
-        ) from None
 
 
 def _dot_string(text: str) -> str:

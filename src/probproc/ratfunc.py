@@ -303,94 +303,3 @@ def format_ratfunc(f: RationalFn) -> str:
         return f"({text})" if len(poly) > 1 else text
 
     return f"{wrap(f.num)} / {wrap(f.den)}"
-
-
-class RatFuncSyntaxError(ValueError):
-    pass
-
-
-def _tokenize_ratfunc(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise RatFuncSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(("end", ""))
-    return tokens
-
-
-def parse_ratfunc(text: str) -> RationalFn:
-    """Parse the textual form produced by format_ratfunc (round-trip exact)."""
-    tokens = _tokenize_ratfunc(text)
-    pos = 0
-
-    def peek() -> str:
-        return tokens[pos][0]
-
-    def take(kind: str) -> str:
-        nonlocal pos
-        if tokens[pos][0] != kind:
-            raise RatFuncSyntaxError(
-                f"expected {kind!r}, found {tokens[pos][1]!r} in {text!r}"
-            )
-        value = tokens[pos][1]
-        pos += 1
-        return value
-
-    def parse_factor() -> Poly:
-        if peek() == "int":
-            return _pconst(int(take("int")))
-        name = take("name")
-        exp = 1
-        if peek() == "^":
-            take("^")
-            exp = int(take("int"))
-        return {((name, exp),): 1}
-
-    def parse_term() -> Poly:
-        poly = parse_factor()
-        while peek() == "*":
-            take("*")
-            poly = _pmul(poly, parse_factor())
-        return poly
-
-    def parse_poly() -> Poly:
-        poly = parse_term()
-        while peek() == "+":
-            take("+")
-            poly = _padd(poly, parse_term())
-        return poly
-
-    def parse_operand() -> Poly:
-        if peek() == "(":
-            take("(")
-            poly = parse_poly()
-            take(")")
-            return poly
-        return parse_poly()
-
-    num = parse_operand()
-    den = _pconst(1)
-    if peek() == "/":
-        take("/")
-        den = parse_operand()
-    take("end")
-    return RationalFn(num, den)

@@ -4,20 +4,14 @@ An observer sees, at each step, the menu of actions currently offered and
 picks one; the probabilistic branching is invisible.  A ready trace records
 that history as alternating menus and chosen actions, ending on a menu.
 
-Two probability notions are provided, both exact:
-
-  * trace_probability: the probability of observing a whole ready trace,
-    given the observer's action choices.  This is the value witnesses carry.
-  * conditional_menu_probability: the probability that the final menu is
-    observed given the entire earlier history.  Conditioning renormalizes by
-    the observed menu's weight at every step, so for each defined history
-    the conditional values over possible next menus sum to one.
-
-Both are undefined (never zero) when the history itself has probability
-zero.  Equivalence of two processes is equality of all these observation
-probabilities, decided over pairs of positions with memoization.  Positions
-are interned per graph with integer weights (`pts.Positions`); fractions
-are built only for the probabilities returned.
+`trace_probability` gives the exact probability of observing a whole ready
+trace, given the observer's action choices: the value witnesses carry.  It
+is undefined (never zero) when a strict prefix of the trace already has
+probability zero.  Equivalence of two processes is equality of all the
+observation probabilities, each menu's conditioned on the history before
+it, decided over pairs of positions with memoization.  Positions are
+interned per graph with integer weights (`pts.Positions`); fractions are
+built only for the probabilities returned.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .parser import _word_kind
 from .pts import Menu, Positions, Pts, format_menu
@@ -135,14 +129,14 @@ def _label(word: str) -> str:
 # --- probabilities ---------------------------------------------------------
 
 
-def menu_distribution(pts: Pts, state: int | None = None) -> dict[Menu, Fraction]:
+def menu_distribution(pts: Pts) -> dict[Menu, Fraction]:
     """Probability of each initially observable menu (support only)."""
     pts.require_acyclic()
     table = pts.positions
-    return table.distribution(table.start(pts.root if state is None else state))
+    return table.distribution(table.start(pts.root))
 
 
-def trace_probability(pts: Pts, trace: ReadyTrace, state: int | None = None) -> Probability:
+def trace_probability(pts: Pts, trace: ReadyTrace) -> Probability:
     """Probability of observing the whole trace, given the observer's choices.
 
     Undefined exactly when some strict prefix already has probability zero;
@@ -150,7 +144,7 @@ def trace_probability(pts: Pts, trace: ReadyTrace, state: int | None = None) -> 
     """
     pts.require_acyclic()
     table = pts.positions
-    pos = table.start(pts.root if state is None else state)
+    pos = table.start(pts.root)
     num = den = 1
     last = len(trace.menus) - 1
     for i, menu in enumerate(trace.menus):
@@ -163,63 +157,6 @@ def trace_probability(pts: Pts, trace: ReadyTrace, state: int | None = None) -> 
             break
         pos = table.child(pos, menu, trace.actions[i])
     return Fraction(num, den)
-
-
-def conditional_menu_probability(
-    pts: Pts, trace: ReadyTrace, state: int | None = None
-) -> Probability:
-    """Probability of the final menu given the entire earlier history."""
-    if len(trace) < 2:
-        raise ValueError("conditioning needs a trace with at least two menus")
-    pts.require_acyclic()
-    table = pts.positions
-    pos = table.start(pts.root if state is None else state)
-    for menu, action in zip(trace.menus, trace.actions):
-        if menu not in table.menus[pos]:
-            return UNDEFINED
-        pos = table.child(pos, menu, action)
-    return Fraction(table.menus[pos].get(trace.menus[-1], 0), table.totals[pos])
-
-
-def iter_ready_traces(
-    pts: Pts, max_len: int | None = None, state: int | None = None
-) -> Iterator[tuple[ReadyTrace, Fraction]]:
-    """All traces of positive probability up to max_len menus, in a fixed order.
-
-    max_len defaults to one more than the graph's action depth, beyond which
-    every trace ends in the empty menu and cannot extend.
-    """
-    pts.require_acyclic()
-    if max_len is None:
-        max_len = pts.action_depth + 1
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    table = pts.positions
-
-    def entries(pos, menus, actions, num, den):
-        """Each menu at the position, with its trace and weight."""
-        weights, total = table.menus[pos], table.totals[pos]
-        for menu in sorted(weights, key=menu_key):
-            yield pos, menu, menus + (menu,), actions, num * weights[menu], den * total
-
-    def below(pos, menu, menus, actions, num, den):
-        """The entries one step on, by each action of the menu in turn."""
-        for action in sorted(menu):
-            child = table.child(pos, menu, action)
-            yield from entries(child, menus, actions + (action,), num, den)
-
-    # A stack of entry iterators, one per trace step: each entry's traces
-    # come before its next sibling, and a child is conditioned only when
-    # the walk reaches it.
-    stack = [entries(table.start(pts.root if state is None else state), (), (), 1, 1)]
-    while stack:
-        for pos, menu, menus, actions, num, den in stack[-1]:
-            yield ReadyTrace(menus, actions), Fraction(num, den)
-            if len(menus) < max_len:
-                stack.append(below(pos, menu, menus, actions, num, den))
-                break
-        else:
-            stack.pop()
 
 
 # --- equivalence -----------------------------------------------------------

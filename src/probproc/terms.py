@@ -265,11 +265,6 @@ def alphabet(term: Term) -> frozenset[str]:
     return frozenset(labels)
 
 
-def shared_alphabet(left: Term, right: Term) -> frozenset[str]:
-    """Actions occurring in both operands: the synchronization set of |[]|."""
-    return alphabet(left) & alphabet(right)
-
-
 def has_prob_choice(term: Term) -> bool:
     return any(isinstance(node, ProbChoice) for node in subterms(term))
 

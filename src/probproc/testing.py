@@ -227,20 +227,6 @@ def _iter_exact_depth_tests(
                 )
 
 
-def _iter_tests(universes: tuple[frozenset[str], ...], max_depth: int):
-    memo: dict = {}
-    for depth in range(max_depth + 1):
-        yield from _iter_exact_depth_tests(universes, 0, depth, memo)
-
-
-def iter_tests(alphabet, max_depth: int):
-    """Every canonical test of action depth <= max_depth, exactly once."""
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    alphabet = frozenset(alphabet)
-    yield from _iter_tests((alphabet,) * max_depth, max_depth)
-
-
 def count_tests(universes, max_depth: int, cap: int | None = None) -> int:
     """Size of the canonical enumeration without materializing it.
 

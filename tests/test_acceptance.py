@@ -32,12 +32,14 @@ from probproc.harness import (
     random_term,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import Pts, derived_process, tree_signature, validate
+from probproc.pts import Pts, validate
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ReadyTrace, ready_trace_equivalent, trace_probability
 from probproc.semantics import compile_term
 from probproc.terms import SharedPar, has_prob_choice
 from probproc.testing import apply_test, bounded_testing_equivalent, distinguishing_test
+
+from helpers import derived_process, tree_signature
 
 F = Fraction
 var = RationalFn.var

@@ -1,4 +1,5 @@
-"""The demo scripts run to completion against the package sources."""
+"""The demo scripts and the README's library example run against the package
+sources, which export exactly the pinned public names."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import probproc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,3 +28,26 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+
+
+def test_public_names_are_pinned():
+    # A name added to or dropped from the package API shows up here.
+    assert sorted(probproc.__all__) == [
+        "CyclicGraphError", "EMPTY_ORDER", "Empty", "ExternalChoice", "MenuNotOffered",
+        "OMEGA", "ParseError", "Priority", "PriorityOrder", "ProbChoice", "Pts",
+        "RationalFn", "ReadyTrace", "SharedPar", "SyncPar", "TestVerdict",
+        "TraceVerdict", "UNDEFINED", "alphabet", "apply_test",
+        "bounded_testing_equivalent", "compile_term", "composition_warnings",
+        "count_tests", "distinguishing_test", "format_ratfunc", "menu_distribution",
+        "parse_priority", "parse_term", "parse_test", "parse_trace", "parser",
+        "prefix", "pts", "ratfunc", "ready_trace_equivalent", "readytrace",
+        "render", "semantics", "success", "terms", "testing", "to_dot", "to_json",
+        "trace_probability", "validate",
+    ]

@@ -20,10 +20,9 @@ from probproc.harness import (
     raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import MenuNotOffered, Positions, Pts, format_menu, tree_signature
+from probproc.pts import MenuNotOffered, Positions, Pts, format_menu
 from probproc.readytrace import (
     ReadyTrace,
-    iter_ready_traces,
     menu_key,
     ready_trace_equivalent,
     trace_probability,
@@ -32,6 +31,8 @@ from probproc.semantics import _Compiler, compile_term
 from probproc.terms import EMPTY_ORDER, ExternalChoice, success
 from probproc import testing
 from probproc.testing import _Outcomes, apply_test, distinguishing_test
+
+from helpers import iter_ready_traces, tree_signature
 
 F = Fraction
 

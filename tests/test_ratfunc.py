@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from probproc.ratfunc import RationalFn, _pmul, format_ratfunc, parse_ratfunc
+from probproc.ratfunc import RationalFn, _pmul, format_ratfunc
 
 var = RationalFn.var
 scalar = RationalFn.scalar
@@ -13,6 +13,31 @@ scalar = RationalFn.scalar
 
 def structurally_equal(f: RationalFn, g: RationalFn) -> bool:
     return f.num == g.num and f.den == g.den
+
+
+def parse_ratfunc(text: str) -> RationalFn:
+    """Read back what `format_ratfunc` prints: a constant fraction, or
+    `num / den` of expanded polynomials, a polynomial of several terms in
+    brackets."""
+    num, _, den = text.partition(" / ")
+    if not den and "/" in num:
+        num, den = num.split("/")
+    return RationalFn(_parse_poly(num), _parse_poly(den or "1"))
+
+
+def _parse_poly(text: str) -> dict:
+    poly: dict = {}
+    for term in text.strip("()").split(" + "):
+        coeff, exps = 1, {}
+        for factor in term.split("*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+            else:
+                name, _, exp = factor.partition("^")
+                exps[name] = exps.get(name, 0) + int(exp or 1)
+        mono = tuple(sorted(exps.items()))
+        poly[mono] = poly.get(mono, 0) + coeff
+    return {mono: coeff for mono, coeff in poly.items() if coeff}
 
 
 def test_variable_constructor():

@@ -14,18 +14,18 @@ from probproc.fixtures import (
 )
 from probproc.harness import GenConfig, random_term, raw_trace_probability
 from probproc.parser import parse_term
-from probproc.pts import CyclicGraphError, Pts, derived_process
+from probproc.pts import CyclicGraphError, Pts
 from probproc.readytrace import (
     ReadyTrace,
     UNDEFINED,
-    conditional_menu_probability,
-    iter_ready_traces,
     menu_distribution,
     parse_trace,
     ready_trace_equivalent,
     trace_probability,
 )
 from probproc.semantics import compile_term
+
+from helpers import derived_process, iter_ready_traces
 
 F = Fraction
 
@@ -56,6 +56,18 @@ def test_trace_probability_separates_the_mixed_pair():
     trace = ReadyTrace((menus("a", "b"), menus("c")), ("b",))
     assert trace_probability(graph(MIXED_FOLLOWUP_FIRST), trace) == F(1, 2)
     assert trace_probability(graph(MIXED_FOLLOWUP_SECOND), trace) == F(0)
+
+
+def conditional_menu_probability(pts: Pts, trace: ReadyTrace):
+    """Probability of the final menu given the entire earlier history, read
+    off the position table; undefined when the history has probability zero."""
+    table = pts.positions
+    pos = table.start(pts.root)
+    for menu, action in zip(trace.menus, trace.actions):
+        if menu not in table.menus[pos]:
+            return UNDEFINED
+        pos = table.child(pos, menu, action)
+    return F(table.menus[pos].get(trace.menus[-1], 0), table.totals[pos])
 
 
 def test_conditional_menu_probability_renormalizes():

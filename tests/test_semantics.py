@@ -23,7 +23,7 @@ from probproc.harness import (
     random_term,
 )
 from probproc.parser import parse_priority, parse_term, parse_test
-from probproc.pts import OMEGA, Pts, to_json, tree_signature, validate
+from probproc.pts import OMEGA, Pts, to_json, validate
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
 from probproc.terms import (
@@ -39,6 +39,8 @@ from probproc.terms import (
     prefix,
     subterms,
 )
+
+from helpers import tree_signature
 
 F = Fraction
 

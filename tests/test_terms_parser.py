@@ -15,7 +15,7 @@ from probproc.fixtures import COIN_MACHINE_EARLY, GAME_GUESSER, GAME_TOSSER
 from probproc.harness import GenConfig, equivalent_pair, random_term
 from probproc.parser import ParseError, parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA
-from probproc.semantics import compile_term
+from probproc.semantics import _pin_sync_sets, compile_term
 from probproc.terms import (
     Empty,
     ExternalChoice,
@@ -29,7 +29,6 @@ from probproc.terms import (
     map_children,
     prefix,
     render,
-    shared_alphabet,
     subterms,
     success,
 )
@@ -159,11 +158,16 @@ def test_deep_terms_hash():
 
 
 def test_shared_alphabet_of_game_players():
+    # |[]| synchronizes on the actions occurring in both operands, the set
+    # that compiling pins at each composition.
+    def sync(left, right):
+        return _pin_sync_sets(SharedPar(left, right))[0].sync
+
     tosser, guesser = parse_term(GAME_TOSSER), parse_term(GAME_GUESSER)
-    assert shared_alphabet(tosser, guesser) == frozenset({"wrt", "rev", "head", "tail"})
-    assert shared_alphabet(parse_term("a"), parse_term("b")) == frozenset()
+    assert sync(tosser, guesser) == frozenset({"wrt", "rev", "head", "tail"})
+    assert sync(parse_term("a"), parse_term("b")) == frozenset()
     same = parse_term("a->b")
-    assert shared_alphabet(same, same) == alphabet(same)
+    assert sync(same, same) == alphabet(same)
 
 
 def test_term_invariants_enforced_on_construction():

@@ -28,7 +28,7 @@ from probproc.harness import (
 from probproc.parser import parse_term, parse_test
 from probproc.pts import Pts
 from probproc.ratfunc import RationalFn
-from probproc.readytrace import iter_ready_traces, menu_distribution, ready_trace_equivalent
+from probproc.readytrace import menu_distribution, ready_trace_equivalent
 from probproc.semantics import _Compiler, compile_term
 from probproc.terms import (
     EMPTY_ORDER,
@@ -44,16 +44,17 @@ from probproc.testing import (
     _Outcomes,
     _differing_depth,
     _exact_depth_tests,
-    _iter_tests,
+    _iter_exact_depth_tests,
     _shape,
     count_tests,
     distinguishing_test,
-    iter_tests,
     relevant_universes,
     term_action_depth,
     apply_test,
     bounded_testing_equivalent,
 )
+
+from helpers import iter_ready_traces
 
 F = Fraction
 var = RationalFn.var
@@ -67,6 +68,20 @@ def graph(text: str) -> Pts:
 
 def run(process_text: str, test_text: str) -> RationalFn:
     return apply_test(graph(process_text), compile_term(parse_test(test_text)))
+
+
+def iter_tests_over(universes, max_depth: int):
+    """Every canonical test of action depth <= max_depth whose actions at
+    each nesting level come from that level's universe, in the order the
+    bounded search enumerates them."""
+    memo: dict = {}
+    for depth in range(max_depth + 1):
+        yield from _iter_exact_depth_tests(universes, 0, depth, memo)
+
+
+def iter_tests(labels, max_depth: int):
+    """Every canonical test over the labels of action depth <= max_depth."""
+    return iter_tests_over((frozenset(labels),) * max_depth, max_depth)
 
 
 def test_user_guessing_wins_half_the_time():
@@ -181,10 +196,8 @@ def test_enumeration_counts_and_uniqueness():
 
 
 def test_enumeration_respects_per_level_universes():
-    from probproc.testing import _iter_tests
-
     universes = (frozenset({"a"}), frozenset(), frozenset({"b"}))
-    tests = [render(t) for t in _iter_tests(universes, 3)]
+    tests = [render(t) for t in iter_tests_over(universes, 3)]
     # nothing can continue below the empty middle level
     assert tests == ["w", "a->w"]
     assert count_tests(universes, 3) == 2
@@ -405,7 +418,7 @@ def _first_enumerated_difference(left: Pts, right: Pts, depth: int):
     steps = _Compiler(EMPTY_ORDER)
     left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
     differ = {}
-    for test in _iter_tests(relevant_universes(left, right, depth), depth):
+    for test in iter_tests_over(relevant_universes(left, right, depth), depth):
         out_left, out_right = left_outcomes.of(test), right_outcomes.of(test)
         key = (_shape(out_left), _shape(out_right))
         if key not in differ:
