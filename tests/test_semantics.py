@@ -13,7 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from probproc.fixtures import GAME_GUESSER, GAME_TOSSER
+from probproc.fixtures import (
+    COIN_USER_TEST,
+    GAME_GUESSER,
+    GAME_TOSSER,
+    MIXED_FOLLOWUP_PROBE,
+)
 from probproc import semantics, terms
 from probproc.harness import (
     GenConfig,
@@ -23,7 +28,7 @@ from probproc.harness import (
     random_term,
 )
 from probproc.parser import parse_priority, parse_term, parse_test
-from probproc.pts import OMEGA, Pts, to_json, validate
+from probproc.pts import OMEGA, Pts, to_dot, to_json, validate
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
 from probproc.terms import (
@@ -201,20 +206,50 @@ def test_composition_warning_on_pairwise_sharing_chain():
     assert composition_warnings(chain) == []
 
 
+# Tests, so that the writers and validate walk success edges too.
+_PINNED_TESTS = (
+    COIN_USER_TEST,
+    "h->p->w [] t->w",
+    MIXED_FOLLOWUP_PROBE,
+    "p{1/3:a->w, 2/3:b->(c->w [] d)}",
+    "prio(a->w [] b->c->w) || (a->w [] b->c->w)",
+    "(a->b->w [] c) |[]| (b->c [] c)",
+)
+
+
+def _pinned(graphs, write) -> str:
+    digest = hashlib.sha256()
+    for graph in graphs:
+        digest.update(write(graph).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def test_compiled_graphs_are_pinned():
-    """Compiled JSON of seeded random terms replays byte for byte."""
+    """Compiled JSON of seeded random terms replays byte for byte, and so
+    do the JSON, DOT and validation of those and of a few tests."""
     cfg = GenConfig(alphabet_size=3, max_depth=4, seed=0)
     rng = random.Random(20261018)
-    digest = hashlib.sha256()
+    graphs = []
     kinds = set()
     for _ in range(200):
         term = random_term(cfg, rng)
         kinds |= {type(node) for node in subterms(term)}
-        digest.update(to_json(compile_term(term, random_priority_order(cfg, rng))).encode())
-        digest.update(b"\n")
+        graphs.append(compile_term(term, random_priority_order(cfg, rng)))
     assert {SharedPar, Priority} <= kinds
-    assert digest.hexdigest() == (
+    assert _pinned(graphs, to_json) == (
         "1b736f550c7790ff7c00a1e39aa1f6fc21baf0e140cb17825a5694adae48cc7a"
+    )
+    graphs += [compiled(text, test=True) for text in _PINNED_TESTS]
+    assert _pinned(graphs, to_json) == (
+        "f20ef2816c517da8ea430de49190f42bc3a11880d459351ce29a57f95b4cbbea"
+    )
+    assert _pinned(graphs, to_dot) == (
+        "4ec3183f6a6b7f08920ae60996f6ef54e22776172e2199e632ac371a0143aa5a"
+    )
+    problems = lambda graph: repr((validate(graph), validate(graph, allow_success=True)))
+    assert _pinned(graphs, problems) == (
+        "226e7677b1d0b2a7e41605b803ff82a67a45a8bbb7763dd2d3629bcb3a31969d"
     )
 
 
