@@ -51,4 +51,15 @@ from .testing import (
     bounded_testing_equivalent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ParseError", "parse_priority", "parse_term", "parse_test",
+    "CyclicGraphError", "MenuNotOffered", "OMEGA", "Pts", "to_dot", "to_json", "validate",
+    "RationalFn", "format_ratfunc",
+    "ReadyTrace", "TraceVerdict", "UNDEFINED", "menu_distribution", "parse_trace",
+    "ready_trace_equivalent", "trace_probability",
+    "compile_term", "composition_warnings",
+    "EMPTY_ORDER", "Empty", "ExternalChoice", "PriorityOrder", "ProbChoice", "Priority",
+    "SharedPar", "SyncPar", "alphabet", "prefix", "render", "success",
+    "TestVerdict", "count_tests", "distinguishing_test", "apply_test",
+    "bounded_testing_equivalent",
+]

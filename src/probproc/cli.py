@@ -11,7 +11,7 @@
 P, Q and T are inline terms in the concrete syntax, or @FILE to read the
 term from a file.  All numbers print as exact fractions.  Exit status:
 0 equivalent/success, 1 distinguished (or some check failed), 2 bad input
-or an internal error, reported on one line.
+(a usage error included) or an internal error, reported on one line.
 """
 
 from __future__ import annotations
@@ -131,8 +131,16 @@ def _cmd_oracle(args) -> int:
     return 0 if all(r.ok for r in reports.values()) else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as every other error is reported: on one line,
+    with exit status 2.  Subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="probproc",
         description="workbench for reactive probabilistic processes",
     )
@@ -174,8 +182,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compile", help="compile a term to its graph")
     comp.add_argument("process")
-    comp.add_argument("--dot", action="store_true", help="emit GraphViz instead of JSON")
-    comp.add_argument("--json", action="store_true", help="emit JSON (default)")
+    output = comp.add_mutually_exclusive_group()
+    output.add_argument("--dot", action="store_true", help="emit GraphViz instead of JSON")
+    output.add_argument("--json", action="store_true", help="emit JSON (default)")
     comp.add_argument("--prio", default=None)
     comp.set_defaults(func=_cmd_compile)
 

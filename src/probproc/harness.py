@@ -493,16 +493,16 @@ def raw_trace_probability(pts: Pts, trace: ReadyTrace) -> Fraction:
     """
 
     def go(state: int, index: int) -> Fraction:
-        if pts.kind(state) == "p":
+        if pts.kinds[state] == "p":
             return sum(
-                (weight * go(target, index) for weight, target in pts.prob_successors(state)),
+                (weight * go(target, index) for weight, target in pts.weighted[state]),
                 Fraction(0),
             )
         if pts.menu(state) != trace.menus[index]:
             return Fraction(0)
         if index == len(trace.menus) - 1:
             return Fraction(1)
-        return go(pts.action_successor(state, trace.actions[index]), index + 1)
+        return go(pts.actions[state][trace.actions[index]], index + 1)
 
     return go(pts.root, 0)
 

@@ -1,12 +1,13 @@
 """Bipartite probabilistic transition graphs.
 
 States are opaque integers, each tagged "n" (nondeterministic: only labeled
-action edges leave it) or "p" (probabilistic: only weighted edges leave it,
-weights summing to one).  A state with no outgoing edge must be tagged "n".
-No two action edges share a source and label, so the choice offered by a
-nondeterministic state is between actions only.
+action steps leave it) or "p" (probabilistic: only weighted steps leave it,
+weights summing to one).  A state with no outgoing step must be tagged "n".
+A graph is its maps: per state, an action map from label to successor, so
+the choice offered by a nondeterministic state is between actions only,
+and a tuple of (weight, successor) pairs, at most one per successor.
 
-`validate` reports a weighted edge to a probabilistic state, and
+`validate` reports a weighted step to a probabilistic state, and
 `compile_term` never makes one, but a graph built by hand may chain
 weighted steps.  Both semantics read weighted steps through one routine per
 graph (`Pts._settled`): the settled (nondeterministic) states a state
@@ -14,9 +15,7 @@ reaches, with the weights multiplied along each path and added over paths,
 which is all an observer or a test can tell of a random choice.
 
 The reserved label "w" marks the success action of tests; it is never part
-of a declared alphabet.  Graphs are immutable after construction; duplicate
-weighted edges between the same pair of states are merged by adding their
-weights when the graph is built.
+of a declared alphabet.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -28,14 +27,11 @@ from functools import cached_property, partial
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 OMEGA = "w"
 
 Menu = frozenset[str]
-
-ActionEdge = tuple[int, str, int]
-ProbEdge = tuple[int, Fraction, int]
 
 
 _target = itemgetter(1)
@@ -49,116 +45,45 @@ class MenuNotOffered(ValueError):
     """Raised when conditioning on a menu/action pair the state cannot offer."""
 
 
-def _merge_prob_edges(edges: Iterable[tuple[int, object, int]]) -> tuple[ProbEdge, ...]:
-    # Insertion order keeps the first edge of each pair in place.
-    acc: dict[tuple[int, int], Fraction] = {}
-    for src, weight, dst in edges:
-        if type(weight) is not Fraction:
-            weight = Fraction(weight)
-        key = (src, dst)
-        acc[key] = acc[key] + weight if key in acc else weight
-    return tuple((src, weight, dst) for (src, dst), weight in acc.items())
-
-
 @dataclass(frozen=True)
 class Pts:
-    """A graph: its edges, and per state its action map and weighted tuple.
+    """A graph: per state its kind, its action map and its weighted tuple,
+    `{}` and `()` for a state of the other kind.
 
     `compile_term` builds the maps in its walk and hands them, with the fact
-    that the graph is acyclic, to `Pts.with_maps`.  `Pts.build` is the
-    constructor from edges, for hand-made graphs: it merges duplicate
-    weighted edges, and such a graph derives its maps from its edges when
-    first asked.
+    that the graph is acyclic, to `Pts.acyclic`.
     """
 
     alphabet: frozenset[str]
     kinds: Mapping[int, str]
-    action_edges: tuple[ActionEdge, ...]
-    prob_edges: tuple[ProbEdge, ...]
+    actions: Mapping[int, Mapping[str, int]]
+    weighted: Mapping[int, tuple[tuple[Fraction, int], ...]]
     root: int
 
     @staticmethod
-    def build(
-        alphabet: Iterable[str],
-        kinds: Mapping[int, str],
-        action_edges: Iterable[tuple[int, str, int]],
-        prob_edges: Iterable[tuple[int, object, int]],
-        root: int,
-    ) -> Pts:
-        return Pts(
-            alphabet=frozenset(alphabet),
-            kinds=dict(kinds),
-            action_edges=tuple(dict.fromkeys(action_edges)),
-            prob_edges=_merge_prob_edges(prob_edges),
-            root=root,
-        )
-
-    @staticmethod
-    def with_maps(
+    def acyclic(
         alphabet: frozenset[str],
         kinds: dict[int, str],
-        action_map: dict[int, dict[str, int]],
-        prob_map: dict[int, tuple[tuple[Fraction, int], ...]],
-        action_edges: tuple[ActionEdge, ...],
-        prob_edges: tuple[ProbEdge, ...],
+        actions: dict[int, dict[str, int]],
+        weighted: dict[int, tuple[tuple[Fraction, int], ...]],
         root: int,
-        acyclic: bool,
     ) -> Pts:
-        """A graph whose maps, the edges already merged, and acyclicity the
-        caller has built: they become the graph's own, never derived again."""
-        pts = Pts(alphabet, kinds, action_edges, prob_edges, root)
-        pts.__dict__.update(_action_map=action_map, _prob_map=prob_map, is_acyclic=acyclic)
+        """A graph its builder knows to be acyclic, never walked to find out."""
+        pts = Pts(alphabet, kinds, actions, weighted, root)
+        pts.__dict__["is_acyclic"] = True
         return pts
-
-    def kind(self, state: int) -> str:
-        return self.kinds[state]
-
-    # Each state's action map and weighted tuple, `{}` and `()` for a state of
-    # the other kind.  Derived here only for a graph built from edges, which
-    # may have an edge with an end that is not in `kinds`, or a weight
-    # outside (0,1]: both are refused, in `validate`'s words.
-
-    @cached_property
-    def _action_map(self) -> dict[int, dict[str, int]]:
-        out: dict[int, dict[str, int]] = {s: {} for s in self.kinds}
-        for src, label, dst in self.action_edges:
-            if src not in out or dst not in out:
-                raise ValueError(f"edge ({src},{label},{dst}) uses unknown state")
-            out[src][label] = dst
-        return out
-
-    @cached_property
-    def _prob_map(self) -> dict[int, tuple[tuple[Fraction, int], ...]]:
-        out: dict[int, list[tuple[Fraction, int]]] = {s: [] for s in self.kinds}
-        for src, weight, dst in self.prob_edges:
-            if src not in out or dst not in out:
-                raise ValueError(f"edge ({src},{weight},{dst}) uses unknown state")
-            if not 0 < weight <= 1:
-                raise ValueError(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
-            out[src].append((weight, dst))
-        return {s: tuple(v) for s, v in out.items()}
 
     def menu(self, state: int) -> Menu:
         """The set of actions the state offers; defined for "n" states only."""
         if self.kinds[state] != "n":
             raise ValueError(f"state {state} is probabilistic and offers no menu")
-        return frozenset(self._action_map[state])
-
-    def action_successor(self, state: int, label: str) -> int:
-        successors = self._action_map[state]
-        if label not in successors:
-            raise MenuNotOffered(f"state {state} has no {label!r} edge")
-        return successors[label]
-
-    def prob_successors(self, state: int) -> tuple[tuple[Fraction, int], ...]:
-        return self._prob_map[state]
+        return frozenset(self.actions[state])
 
     @cached_property
     def _order(self) -> tuple[int, ...] | None:
         """Every state, each after all of its successors, by an iterative
-        post-order over the graph's maps; None on a cycle, reachable or not.
-        Raises ValueError on an edge to or from a state not in `kinds`."""
-        actions, weighted = self._action_map, self._prob_map
+        post-order over the graph's maps; None on a cycle, reachable or not."""
+        actions, weighted = self.actions, self.weighted
         order: list[int] = []
         done: set[int] = set()
         active: set[int] = set()
@@ -187,7 +112,7 @@ class Pts:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        """Handed over by `Pts.with_maps`, else read off `_order`."""
+        """Handed over by `Pts.acyclic`, else read off `_order`."""
         return self._order is not None
 
     def require_acyclic(self) -> None:
@@ -199,11 +124,11 @@ class Pts:
         """Largest number of action edges on any path from the root."""
         self.require_acyclic()
         depth: dict[int, int] = {}
-        action_map, prob_map = self._action_map, self._prob_map
+        actions, weighted = self.actions, self.weighted
         for state in self._order:
-            actions = action_map[state]
-            here = 1 + max(map(depth.__getitem__, actions.values())) if actions else 0
-            for _, dst in prob_map[state]:
+            successors = actions[state].values()
+            here = 1 + max(map(depth.__getitem__, successors)) if successors else 0
+            for _, dst in weighted[state]:
                 here = max(here, depth[dst])
             depth[state] = here
         return depth[self.root]
@@ -212,12 +137,21 @@ class Pts:
     def _settled(self) -> _Filled:
         """Per state, the settled states it reaches through weighted steps
         (`_settle`), each state's filled once; read by both semantics."""
-        return _Filled(partial(_settle, self.kinds, self._prob_map))
+        return _Filled(partial(_settle, self.kinds, self.weighted))
 
     @cached_property
     def positions(self) -> Positions:
         """The graph's position table, filled as positions are asked for."""
         return Positions(self)
+
+
+def _edges(pts: Pts) -> tuple[list[tuple[int, str, int]], list[tuple[int, Fraction, int]]]:
+    """The graph's action and weighted edges, as (source, label or weight,
+    target), in the order of its maps: state by state."""
+    return (
+        [(src, label, dst) for src, moves in pts.actions.items() for label, dst in moves.items()],
+        [(src, weight, dst) for src, pairs in pts.weighted.items() for weight, dst in pairs],
+    )
 
 
 def validate(pts: Pts, allow_success: bool = False) -> list[str]:
@@ -239,8 +173,8 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     if OMEGA in pts.alphabet:
         problems.append(f"alphabet must not contain the reserved label {OMEGA!r}")
 
-    seen_pairs: set[tuple[int, str]] = set()
-    for src, label, dst in pts.action_edges:
+    action_edges, prob_edges = _edges(pts)
+    for src, label, dst in action_edges:
         if src not in states or dst not in states:
             problems.append(f"action edge ({src},{label},{dst}) uses unknown state")
             continue
@@ -248,14 +182,9 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
             problems.append(f"action edge leaves probabilistic state {src}")
         if label not in allowed:
             problems.append(f"label {label!r} is not in the alphabet")
-        if (src, label) in seen_pairs:
-            problems.append(
-                f"reactive determinism violated: two {label!r} edges leave state {src}"
-            )
-        seen_pairs.add((src, label))
 
     weight_sums: dict[int, Fraction] = {}
-    for src, weight, dst in pts.prob_edges:
+    for src, weight, dst in prob_edges:
         if src not in states or dst not in states:
             problems.append(f"probabilistic edge ({src},{weight},{dst}) uses unknown state")
             continue
@@ -310,7 +239,7 @@ class _Filled(dict):
         return value
 
 
-def _settle(kinds, prob_map, state: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _settle(kinds, weighted, state: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The settled (nondeterministic) states that the state reaches through
     weighted steps, as (denominator, ((weight, settled state), ...)).  Each
     weight is an integer over the one denominator: the product of the edge
@@ -320,7 +249,7 @@ def _settle(kinds, prob_map, state: int) -> tuple[int, tuple[tuple[int, int], ..
     no outgoing edge.  The graph must be acyclic."""
     if kinds[state] == "n":
         return 1, ((1, state),)
-    edges = prob_map[state]
+    edges = weighted[state]
     if not edges or any(kinds[dst] == "p" for _, dst in edges):
         # Weighted steps that chain, which only graphs built by hand have.
         reached: dict[int, Fraction] = {}
@@ -329,8 +258,8 @@ def _settle(kinds, prob_map, state: int) -> tuple[int, tuple[tuple[int, int], ..
             weight, node = stack.pop()
             if kinds[node] == "n":
                 reached[node] = reached[node] + weight if node in reached else weight
-            elif prob_map[node]:
-                stack += [(weight * w, dst) for w, dst in reversed(prob_map[node])]
+            elif weighted[node]:
+                stack += [(weight * w, dst) for w, dst in reversed(weighted[node])]
             else:
                 raise ValueError(f"state {node} is probabilistic but has no outgoing edges")
         edges = [(weight, node) for node, weight in reached.items()]
@@ -359,11 +288,11 @@ class Positions:
     """
 
     def __init__(self, pts: Pts):
-        self._action_map = pts._action_map
+        self._actions = pts.actions
         self._settled = pts._settled
         # The fill function does not refer to the table, so no cycle keeps
         # it alive after its graph is gone.
-        self._menu_of = _Filled(partial(_state_menu, pts._action_map, {}))
+        self._menu_of = _Filled(partial(_state_menu, pts.actions, {}))
         self.keys: list[tuple[tuple[int, int], ...]] = []
         self._groups: list[dict[Menu, list[tuple[int, int]]]] = []
         self.menus: list[dict[Menu, int]] = []
@@ -394,11 +323,11 @@ class Positions:
         state add their weights."""
         if action not in menu:
             raise MenuNotOffered(f"action {action!r} is not in menu {format_menu(menu)}")
-        action_map, settled_of = self._action_map, self._settled
+        actions, settled_of = self._actions, self._settled
         acc: dict[int, int] = {}
         common = 1
         for weight, target in self._groups[pid].get(menu, ()):
-            den, pairs = settled_of[action_map[target][action]]
+            den, pairs = settled_of[actions[target][action]]
             if common % den:
                 # Bring the weights summed so far to the larger denominator.
                 scale = den // gcd(common, den)
@@ -434,13 +363,14 @@ class Positions:
         return pid
 
 
-def _state_menu(action_map, menus: dict[Menu, Menu], state: int) -> Menu:
+def _state_menu(actions, menus: dict[Menu, Menu], state: int) -> Menu:
     """The settled state's menu, one object per distinct menu."""
-    menu = frozenset(action_map[state])
+    menu = frozenset(actions[state])
     return menus.setdefault(menu, menu)
 
 
 def to_json(pts: Pts) -> str:
+    action_edges, prob_edges = _edges(pts)
     doc = {
         "alphabet": sorted(pts.alphabet),
         "root": pts.root,
@@ -448,12 +378,11 @@ def to_json(pts: Pts) -> str:
             {"id": state, "kind": kind} for state, kind in sorted(pts.kinds.items())
         ],
         "action_edges": [
-            {"from": src, "label": label, "to": dst}
-            for src, label, dst in pts.action_edges
+            {"from": src, "label": label, "to": dst} for src, label, dst in action_edges
         ],
         "prob_edges": [
             {"from": src, "weight": f"{w.numerator}/{w.denominator}", "to": dst}
-            for src, w, dst in pts.prob_edges
+            for src, w, dst in prob_edges
         ],
     }
     return json.dumps(doc, indent=2)
@@ -470,9 +399,10 @@ def to_dot(pts: Pts, title: str = "pts") -> str:
         shape = "circle" if kind == "n" else "point"
         marker = ', penwidth=2' if state == pts.root else ""
         lines.append(f'  s{state} [shape={shape}, label=""{marker}];')
-    for src, label, dst in pts.action_edges:
+    action_edges, prob_edges = _edges(pts)
+    for src, label, dst in action_edges:
         lines.append(f"  s{src} -> s{dst} [label={_dot_string(label)}];")
-    for src, weight, dst in pts.prob_edges:
+    for src, weight, dst in prob_edges:
         lines.append(
             f'  s{src} -> s{dst} [style=dashed, label="{weight.numerator}/{weight.denominator}"];'
         )

@@ -193,8 +193,7 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     States are numbered in breadth-first order from the root, 0.  The walk
     builds each state's action map and weighted tuple as it goes, merging
     weighted steps to one target by adding their weights, and hands them to
-    `Pts.with_maps`, so the graph never derives them from its edges, with
-    the fact that it is acyclic: every step leads to a smaller term.
+    `Pts.acyclic`, since every step leads to a smaller term.
     """
     compiler = _Compiler(order)
     root, labels = _pin_sync_sets(term)
@@ -203,8 +202,6 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     kinds: dict[int, str] = {}
     actions: dict[int, dict[str, int]] = {}
     weighted: dict[int, tuple[tuple[Fraction, int], ...]] = {}
-    action_edges: list[tuple[int, str, int]] = []
-    prob_edges: list[tuple[int, Fraction, int]] = []
     # `nodes` grows while it is walked, so the walk is breadth-first.
     for state, node in enumerate(nodes):
         if isinstance(node, ExternalChoice):  # the commonest node, never weighted
@@ -222,21 +219,17 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
                     merged[dst] += weight
                 else:
                     merged[dst] = weight if type(weight) is Fraction else Fraction(weight)
-            pairs = tuple(zip(merged.values(), merged))
-            prob_edges += [(state, weight, dst) for weight, dst in pairs]
-            kinds[state], actions[state], weighted[state] = "p", {}, pairs
+            kinds[state], actions[state] = "p", {}
+            weighted[state] = tuple(zip(merged.values(), merged))
         else:
             out: dict[str, int] = {}
             for label, target in sorted(moves) if len(moves) > 1 else moves:
                 dst = out[label] = ids.setdefault(target, len(nodes))
                 if dst == len(nodes):
                     nodes.append(target)
-                action_edges.append((state, label, dst))
             kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    return Pts.with_maps(
-        labels, kinds, actions, weighted, tuple(action_edges), tuple(prob_edges), 0, acyclic=True
-    )
+    return Pts.acyclic(labels, kinds, actions, weighted, 0)
 
 
 def composition_warnings(term: Term) -> list[str]:

@@ -85,12 +85,12 @@ class _Outcomes:
         key = (state, labels)
         out = self._unit_steps.get(key)
         if out is None:
-            action_map = self.process._action_map
+            actions = self.process.actions
             step: dict[str, dict[int, RationalFn]] = {}
             total = 0
             den, pairs = self._settled[state]
             for weight, settled in pairs:
-                offered = action_map[settled]
+                offered = actions[settled]
                 common = tuple(sorted(offered.keys() & labels))
                 if not common:
                     continue
@@ -132,7 +132,7 @@ class _Outcomes:
             for weight, target in weighted:
                 out = out + _scalar(weight) * self._at(s, target)
         else:
-            offered = process._action_map[s]
+            offered = process.actions[s]
             common = tuple(sorted(offered.keys() & actions.keys()))
             for label, share in zip(common, _share(common)):
                 out = out + share * self._at(offered[label], actions[label])
@@ -162,8 +162,8 @@ class _GraphSteps:
     the graph's own maps, `()` and `{}` for a state of the other kind."""
 
     def __init__(self, test: Pts):
-        self.prob_steps = test._prob_map.__getitem__
-        self.action_steps = test._action_map.__getitem__
+        self.prob_steps = test.weighted.__getitem__
+        self.action_steps = test.actions.__getitem__
 
 
 def apply_test(process: Pts, test: Pts) -> RationalFn:
@@ -252,13 +252,13 @@ def _level_universes(pts: Pts, depth: int) -> list[frozenset[str]]:
     """Actions enabled after exactly k synchronized steps, for k < depth;
     weighted steps are followed through the graph's `_settled` routine."""
     pts.require_acyclic()
-    settled_of, action_map = pts._settled, pts._action_map
+    settled_of, actions = pts._settled, pts.actions
     levels: list[frozenset[str]] = []
     frontier = {pts.root}
     for _ in range(depth):
         settled = {state for root in frontier for _, state in settled_of[root][1]}
-        levels.append(frozenset().union(*(action_map[state] for state in settled)))
-        frontier = {dst for state in settled for dst in action_map[state].values()}
+        levels.append(frozenset().union(*(actions[state] for state in settled)))
+        frontier = {dst for state in settled for dst in actions[state].values()}
     return levels
 
 
@@ -355,9 +355,9 @@ def _label_sets(labels: frozenset[str]) -> list[tuple[str, ...]]:
 
 def _offered(coefficients: dict, outcomes: _Outcomes) -> frozenset[str]:
     """Every label some settled state of the coefficient map offers."""
-    action_map, settled_of = outcomes.process._action_map, outcomes._settled
+    actions, settled_of = outcomes.process.actions, outcomes._settled
     return frozenset().union(
-        *(action_map[settled] for state in coefficients for _, settled in settled_of[state][1])
+        *(actions[settled] for state in coefficients for _, settled in settled_of[state][1])
     )
 
 

@@ -2,8 +2,8 @@
 
 None of them is part of the package: each is built on what the package
 exposes (the graph maps and order, the position tables) and serves a check
-of other code: graph isomorphism, conditioning against a derived process,
-sets of ready traces.
+of other code: graphs written by hand as edges, graph isomorphism,
+conditioning against a derived process, sets of ready traces.
 """
 
 from dataclasses import replace
@@ -12,6 +12,30 @@ from hashlib import blake2b
 
 from probproc.pts import Menu, Pts
 from probproc.readytrace import ReadyTrace, menu_key
+
+
+def build(alphabet, kinds, action_edges, prob_edges, root) -> Pts:
+    """The graph with these edges, for graphs written by hand.
+
+    Weighted edges between one pair of states merge by adding their
+    weights, in the place of the first.  An edge with an end that is not in
+    `kinds`, or a weight outside (0,1], is refused in `validate`'s words: a
+    graph that needs one is written as maps.
+    """
+    actions: dict[int, dict[str, int]] = {state: {} for state in kinds}
+    merged: dict[int, dict[int, Fraction]] = {state: {} for state in kinds}
+    for src, label, dst in action_edges:
+        if src not in kinds or dst not in kinds:
+            raise ValueError(f"edge ({src},{label},{dst}) uses unknown state")
+        actions[src][label] = dst
+    for src, weight, dst in prob_edges:
+        if src not in kinds or dst not in kinds:
+            raise ValueError(f"edge ({src},{weight},{dst}) uses unknown state")
+        if not 0 < weight <= 1:
+            raise ValueError(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
+        merged[src][dst] = merged[src].get(dst, 0) + Fraction(weight)
+    weighted = {state: tuple(zip(out.values(), out)) for state, out in merged.items()}
+    return Pts(frozenset(alphabet), dict(kinds), actions, weighted, root)
 
 
 def tree_signature(pts: Pts):
@@ -32,10 +56,10 @@ def tree_signature(pts: Pts):
     digests: dict[int, bytes] = {}
     for node in pts._order:
         if pts.kinds[node] == "n":
-            tag, children = "n", sorted(pts._action_map[node].items())
+            tag, children = "n", sorted(pts.actions[node].items())
         else:
             tag, children = "p", sorted(
-                pts._prob_map[node], key=lambda pair: (pair[0], digests[pair[1]])
+                pts.weighted[node], key=lambda pair: (pair[0], digests[pair[1]])
             )
         signatures[node] = (tag, tuple((key, signatures[dst]) for key, dst in children))
         shape = (tag, tuple((key, digests[dst]) for key, dst in children))
@@ -49,17 +73,22 @@ def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
     The step is taken through the graph's position table.  For a
     nondeterministic state the result is the graph re-rooted at the action
     successor.  For a probabilistic state it gets a fresh root whose
-    weighted edges are the conditioned distribution.
+    weighted steps are the conditioned distribution.
     """
     pts.require_acyclic()
     table = pts.positions
     pid = table.child(table.start(state), frozenset(menu), action)
     if pts.kinds[state] == "n":
-        return replace(pts, root=pts._action_map[state][action])
+        return replace(pts, root=pts.actions[state][action])
     fresh, total = max(pts.kinds) + 1, table.totals[pid]
-    edges = tuple((fresh, Fraction(weight, total), target) for weight, target in table.keys[pid])
     return replace(
-        pts, kinds={**pts.kinds, fresh: "p"}, prob_edges=pts.prob_edges + edges, root=fresh
+        pts,
+        kinds={**pts.kinds, fresh: "p"},
+        actions={**pts.actions, fresh: {}},
+        weighted={**pts.weighted, fresh: tuple(
+            (Fraction(weight, total), target) for weight, target in table.keys[pid]
+        )},
+        root=fresh,
     )
 
 

@@ -32,14 +32,14 @@ from probproc.harness import (
     random_term,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import Pts, validate
+from probproc.pts import validate
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ReadyTrace, ready_trace_equivalent, trace_probability
 from probproc.semantics import compile_term
 from probproc.terms import SharedPar, has_prob_choice
 from probproc.testing import apply_test, bounded_testing_equivalent, distinguishing_test
 
-from helpers import derived_process, tree_signature
+from helpers import build, derived_process, tree_signature
 
 F = Fraction
 var = RationalFn.var
@@ -131,7 +131,7 @@ def test_criterion_05_conditioning_renormalizes_to_quarter_and_three_quarters():
     with Timer() as timer:
         graph = compile_term(parse_term(MENU_CONDITIONING_EXAMPLE))
         after = derived_process(graph, graph.root, frozenset({"a", "b"}), "a")
-        weights = sorted(w for w, _ in after.prob_successors(after.root))
+        weights = sorted(w for w, _ in after.weighted[after.root])
         assert weights == [F(1, 4), F(3, 4)]
         assert validate(after) == []
     assert timer.elapsed < 1.0
@@ -148,7 +148,7 @@ def test_criterion_06_game_composition_compiles_to_the_expected_graph():
         kinds = {0: "p"}
         for base in (1, 10):
             kinds.update({base + offset: "n" for offset in range(8)})
-        expected = Pts.build(
+        expected = build(
             alphabet={"wrt", "rev", "head", "tail", "g1", "g2", "ok"},
             kinds=kinds,
             action_edges=[

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import probproc
 from probproc.cli import main
 from probproc.fixtures import (
@@ -146,6 +148,36 @@ def test_input_from_file(tmp_path, capsys):
     path.write_text(COIN_MACHINE_EARLY)
     code, out, _ = run_cli(capsys, "equiv", f"@{path}", COIN_MACHINE_LATE)
     assert code == 0
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("res", "a"), ("equiv", "a", "b", "--colour", "red"), ()],
+    ids=["missing operand", "unknown option", "no command"],
+)
+def test_usage_error_exits_2_with_one_line(capsys, argv):
+    code, out, err = usage_error(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_compile_refuses_dot_with_json(capsys):
+    code, out, err = usage_error(capsys, "compile", "a", "--dot", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: argument --json: not allowed with argument --dot\n"
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = usage_error(capsys, "compile", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: probproc compile [-h] [--dot | --json]")
 
 
 def test_parse_error_exit_code(capsys):

@@ -5,6 +5,7 @@ for recursion."""
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd
@@ -20,7 +21,7 @@ from probproc.harness import (
     raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import MenuNotOffered, Positions, Pts, format_menu
+from probproc.pts import MenuNotOffered, Positions, Pts, _edges, format_menu
 from probproc.readytrace import (
     ReadyTrace,
     menu_key,
@@ -32,7 +33,7 @@ from probproc.terms import EMPTY_ORDER, ExternalChoice, success
 from probproc import testing
 from probproc.testing import _Outcomes, apply_test, distinguishing_test
 
-from helpers import iter_ready_traces, tree_signature
+from helpers import build, iter_ready_traces, tree_signature
 
 F = Fraction
 
@@ -47,11 +48,11 @@ F = Fraction
 def _ref_branches(pts, view):
     if view[0] == "d":
         return tuple((weight, state) for state, weight in view[1])
-    return pts.prob_successors(view[1])
+    return pts.weighted[view[1]]
 
 
 def _ref_is_probabilistic(pts, view):
-    return view[0] == "d" or pts.kind(view[1]) == "p"
+    return view[0] == "d" or pts.kinds[view[1]] == "p"
 
 
 def _ref_menu_distribution(pts, view):
@@ -75,7 +76,7 @@ def _ref_condition(pts, view, menu, action):
                 f"state {state} offers {format_menu(pts.menu(state))}, "
                 f"not {format_menu(menu)}"
             )
-        return ("s", pts.action_successor(state, action))
+        return ("s", pts.actions[state][action])
     matching = [
         (weight, target)
         for weight, target in _ref_branches(pts, view)
@@ -86,11 +87,11 @@ def _ref_condition(pts, view, menu, action):
     total = sum(weight for weight, _ in matching)
     acc = {}
     for weight, target in matching:
-        after = pts.action_successor(target, action)
-        if pts.kind(after) == "n":
+        after = pts.actions[target][action]
+        if pts.kinds[after] == "n":
             acc[after] = acc.get(after, F(0)) + weight / total
         else:
-            for inner_weight, inner_target in pts.prob_successors(after):
+            for inner_weight, inner_target in pts.weighted[after]:
                 acc[inner_target] = (
                     acc.get(inner_target, F(0)) + weight * inner_weight / total
                 )
@@ -99,12 +100,15 @@ def _ref_condition(pts, view, menu, action):
 
 def _ref_view_to_pts(pts, view):
     if view[0] == "s":
-        return Pts(pts.alphabet, pts.kinds, pts.action_edges, pts.prob_edges, view[1])
+        return replace(pts, root=view[1])
     fresh = max(pts.kinds) + 1
-    kinds = dict(pts.kinds)
-    kinds[fresh] = "p"
-    edges = tuple((fresh, weight, target) for target, weight in view[1])
-    return Pts(pts.alphabet, kinds, pts.action_edges, pts.prob_edges + edges, fresh)
+    return replace(
+        pts,
+        kinds={**pts.kinds, fresh: "p"},
+        actions={**pts.actions, fresh: {}},
+        weighted={**pts.weighted, fresh: tuple((weight, target) for target, weight in view[1])},
+        root=fresh,
+    )
 
 
 def _ref_views_differ(left, lview, right, rview, memo):
@@ -288,9 +292,9 @@ def _ref_distribution(pts, view):
     pairs sorted by state."""
     if view[0] == "d":
         return view[1]
-    if pts.kind(view[1]) == "n":
+    if pts.kinds[view[1]] == "n":
         return ((view[1], F(1)),)
-    return tuple(sorted((state, weight) for weight, state in pts.prob_successors(view[1])))
+    return tuple(sorted((state, weight) for weight, state in pts.weighted[view[1]]))
 
 
 def test_one_position_per_distinct_distribution():
@@ -333,8 +337,8 @@ def test_probabilistic_state_without_edges_is_refused():
     # Its menu weights would total zero, which no cross-multiplication can
     # compare; validate reports the same graph.  Both semantics refuse it,
     # also behind a weighted step.
-    empty = Pts.build({"a"}, {0: "p"}, [], [], 0)
-    behind = Pts.build({"a"}, {0: "p", 1: "p", 2: "n"}, [], [(0, 1, 1)], 0)
+    empty = build({"a"}, {0: "p"}, [], [], 0)
+    behind = build({"a"}, {0: "p", 1: "p", 2: "n"}, [], [(0, 1, 1)], 0)
     offer = compile_term(parse_term("a"))
     probe = compile_term(parse_test("a->w"))
     for call in (
@@ -354,7 +358,7 @@ def test_probabilistic_state_without_edges_is_refused():
 
 
 def _chained(pts: Pts, rng: random.Random) -> Pts:
-    """The graph rebuilt with `Pts.build` so that weighted edges pass through
+    """The graph rebuilt with `build` so that weighted edges pass through
     fresh probabilistic states: each edge is kept, routed through a chain of
     one or two fresh states, or split into a direct part and a routed part
     whose weights add up to the edge's.  The first edge is always split,
@@ -371,7 +375,8 @@ def _chained(pts: Pts, rng: random.Random) -> Pts:
             src, weight = step, F(1)
         weighted.append((src, weight, dst))
 
-    for index, (src, weight, dst) in enumerate(pts.prob_edges):
+    action_edges, prob_edges = _edges(pts)
+    for index, (src, weight, dst) in enumerate(prob_edges):
         shape = "split" if index == 0 else rng.choice(("keep", "route", "split"))
         if shape == "keep":
             weighted.append((src, weight, dst))
@@ -386,7 +391,7 @@ def _chained(pts: Pts, rng: random.Random) -> Pts:
         root = next(fresh)
         kinds[root] = "p"
         routed(root, F(1), pts.root)
-    return Pts.build(pts.alphabet, kinds, pts.action_edges, weighted, root)
+    return build(pts.alphabet, kinds, action_edges, weighted, root)
 
 
 @pytest.mark.parametrize("seed", [2009, 20260809])
@@ -406,8 +411,8 @@ def test_chained_weighted_steps_change_nothing(seed):
         assert distinguishing_test(*chained) == witness
         distinguished += witness is not None
         for flat, graph in zip((left, right), chained):
-            chains = any(graph.kinds[dst] == "p" for _, _, dst in graph.prob_edges)
-            assert chains == bool(flat.prob_edges)
+            chains = any(graph.kinds[dst] == "p" for _, _, dst in _edges(graph)[1])
+            assert chains == any(flat.weighted.values())
             traces = list(iter_ready_traces(flat))
             assert list(iter_ready_traces(graph)) == traces
             for trace, probability in traces:
@@ -473,7 +478,7 @@ def _chain(steps: int, weight: Fraction, split_first: bool) -> Pts:
         kinds.update({coin: "p", offer: "n", dead: "n", end: "n"})
         weighted += [(coin, weight, offer), (coin, 1 - weight, dead)]
         actions.append((offer, "b", end))
-        return Pts.build({"a", "b"}, kinds, actions, weighted, 0)
+        return build({"a", "b"}, kinds, actions, weighted, 0)
     root = 0
     kinds[root] = "p"
     starts = []
@@ -488,7 +493,7 @@ def _chain(steps: int, weight: Fraction, split_first: bool) -> Pts:
             kinds[base + steps + 1] = "n"
             actions.append((base + steps, "b", base + steps + 1))
     weighted += [(root, weight, starts[0]), (root, 1 - weight, starts[1])]
-    return Pts.build({"a", "b"}, kinds, actions, weighted, root)
+    return build({"a", "b"}, kinds, actions, weighted, root)
 
 
 def test_deep_chains_are_decided_without_recursion():

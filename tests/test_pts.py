@@ -20,7 +20,7 @@ from probproc.readytrace import (
 from probproc.semantics import compile_term
 from probproc.testing import apply_test, bounded_testing_equivalent, distinguishing_test
 
-from helpers import derived_process, tree_signature
+from helpers import build, derived_process, tree_signature
 
 F = Fraction
 
@@ -34,7 +34,7 @@ def test_coin_machine_is_valid():
 
 
 def test_weights_must_sum_to_one():
-    bad = Pts.build(
+    bad = build(
         alphabet={"a"},
         kinds={0: "p", 1: "n", 2: "n"},
         action_edges=[],
@@ -44,19 +44,8 @@ def test_weights_must_sum_to_one():
     assert any("sum" in problem for problem in validate(bad))
 
 
-def test_reactive_determinism_violation_reported():
-    bad = Pts.build(
-        alphabet={"a"},
-        kinds={0: "n", 1: "n", 2: "n"},
-        action_edges=[(0, "a", 1), (0, "a", 2)],
-        prob_edges=[],
-        root=0,
-    )
-    assert any("reactive determinism" in problem for problem in validate(bad))
-
-
 def test_prob_edge_to_prob_state_reported():
-    bad = Pts.build(
+    bad = build(
         alphabet={"a"},
         kinds={0: "p", 1: "p", 2: "n"},
         action_edges=[],
@@ -67,14 +56,14 @@ def test_prob_edge_to_prob_state_reported():
 
 
 def test_dangling_probabilistic_state_reported():
-    bad = Pts.build(
+    bad = build(
         alphabet={"a"}, kinds={0: "p"}, action_edges=[], prob_edges=[], root=0
     )
     assert any("no outgoing" in problem for problem in validate(bad))
 
 
 def test_cycle_flagged_but_not_fatal():
-    loop = Pts.build(
+    loop = build(
         alphabet={"a"},
         kinds={0: "n"},
         action_edges=[(0, "a", 0)],
@@ -87,21 +76,21 @@ def test_cycle_flagged_but_not_fatal():
 
 
 _CYCLES = {
-    "through a probabilistic edge": Pts.build(
+    "through a probabilistic edge": build(
         alphabet={"a"},
         kinds={0: "p", 1: "n"},
         action_edges=[(1, "a", 0)],
         prob_edges=[(0, F(1), 1)],
         root=0,
     ),
-    "unreachable from the root": Pts.build(
+    "unreachable from the root": build(
         alphabet={"a"},
         kinds={0: "n", 1: "n", 2: "n"},
         action_edges=[(1, "a", 2), (2, "a", 1)],
         prob_edges=[],
         root=0,
     ),
-    "self-loop": Pts.build(
+    "self-loop": build(
         alphabet={"a"},
         kinds={0: "n"},
         action_edges=[(0, "a", 0)],
@@ -133,70 +122,33 @@ def test_every_graph_operation_refuses_a_cycle(cyclic):
             refusal()
 
 
-# Each graph has one action edge, named by its key, with an end not in `kinds`.
-_UNKNOWN_ENDS = {
-    "(0,a,7)": Pts.build({"a"}, {0: "n"}, [(0, "a", 7)], [], 0),
-    "(5,a,0)": Pts.build({"a"}, {0: "n"}, [(5, "a", 0)], [], 0),
-}
+@pytest.mark.parametrize("edge", [(0, "a", 7), (5, "a", 0)], ids=["(0,a,7)", "(5,a,0)"])
+def test_an_edge_with_an_unknown_end_is_reported(edge):
+    # Written as maps, validate reports the edge; written as edges, it is refused.
+    src, label, dst = edge
+    graph = Pts({"a"}, {0: "n"}, {0: {}, src: {label: dst}}, {0: ()}, 0)
+    written = f"({src},{label},{dst})"
+    assert validate(graph) == [f"action edge {written} uses unknown state"]
+    with pytest.raises(ValueError, match=re.escape(f"edge {written} uses unknown state")):
+        build({"a"}, {0: "n"}, [edge], [], 0)
 
 
-@pytest.mark.parametrize("edge", _UNKNOWN_ENDS)
-def test_graph_operations_refuse_an_edge_to_an_unknown_state(edge):
-    dangling = _UNKNOWN_ENDS[edge]
-    assert validate(dangling) == [f"action edge {edge} uses unknown state"]
-    refusals = [
-        lambda: dangling.is_acyclic,
-        lambda: dangling.action_depth,
-        lambda: ready_trace_equivalent(dangling, dangling),
-        lambda: bounded_testing_equivalent(dangling, coin_machine()),
-    ]
-    message = re.escape(f"edge {edge} uses unknown state")
-    for refusal in refusals:
-        with pytest.raises(ValueError, match=message):
-            refusal()
-
-
-def _one_weight(weight: Fraction) -> Pts:
-    """A probabilistic root whose one weighted edge, of this weight, leads
-    to a state offering a."""
-    return Pts.build({"a"}, {0: "p", 1: "n", 2: "n"}, [(1, "a", 2)], [(0, weight, 1)], 0)
-
-
-_WEIGHTS = pytest.mark.parametrize("weight", [F(0), F(3, 2)], ids=["zero", "three halves"])
-
-
-def _outside(weight: Fraction) -> str:
-    return re.escape(f"weight {weight} of edge (0,1) is outside (0,1]")
-
-
-@_WEIGHTS
-def test_menu_distribution_refuses_a_weight_outside_the_unit_interval(weight):
-    graph = _one_weight(weight)
-    # validate and the writers read the edges, so they still take the graph
-    assert validate(graph)[0] == f"weight {weight} of edge (0,1) is outside (0,1]"
+@pytest.mark.parametrize("weight", [F(0), F(3, 2)], ids=["zero", "three halves"])
+def test_a_weight_outside_the_unit_interval_is_reported(weight):
+    # A probabilistic root whose one weighted step, of this weight, leads to
+    # a state offering a: validate reports it and the writers still take it.
+    kinds = {0: "p", 1: "n", 2: "n"}
+    graph = Pts({"a"}, kinds, {0: {}, 1: {"a": 2}, 2: {}}, {0: ((weight, 1),), 1: (), 2: ()}, 0)
+    message = f"weight {weight} of edge (0,1) is outside (0,1]"
+    assert validate(graph)[0] == message
     assert to_json(graph) and to_dot(graph)
-    with pytest.raises(ValueError, match=_outside(weight)):
-        menu_distribution(graph)
-
-
-@_WEIGHTS
-def test_ready_trace_equivalent_refuses_a_weight_outside_the_unit_interval(weight):
-    offer = compile_term(parse_term("a"))
-    for left, right in ((_one_weight(weight), offer), (offer, _one_weight(weight))):
-        with pytest.raises(ValueError, match=_outside(weight)):
-            ready_trace_equivalent(left, right)
-
-
-@_WEIGHTS
-def test_apply_test_refuses_a_weight_outside_the_unit_interval(weight):
-    probe = compile_term(parse_test("a->w"))
-    with pytest.raises(ValueError, match=_outside(weight)):
-        apply_test(_one_weight(weight), probe)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build({"a"}, kinds, [(1, "a", 2)], [(0, weight, 1)], 0)
 
 
 def _naive_action_depth(graph: Pts, state: int) -> int:
-    actions = [1 + _naive_action_depth(graph, dst) for dst in graph._action_map[state].values()]
-    weighted = [_naive_action_depth(graph, dst) for _, dst in graph.prob_successors(state)]
+    actions = [1 + _naive_action_depth(graph, dst) for dst in graph.actions[state].values()]
+    weighted = [_naive_action_depth(graph, dst) for _, dst in graph.weighted[state]]
     return max(actions + weighted, default=0)
 
 
@@ -212,21 +164,21 @@ def test_action_depth_matches_a_recursive_reference(cfg):
 
 
 def test_parallel_prob_edges_merge_at_construction():
-    merged = Pts.build(
+    merged = build(
         alphabet={"a"},
         kinds={0: "p", 1: "n"},
         action_edges=[],
         prob_edges=[(0, F(1, 2), 1), (0, F(1, 2), 1)],
         root=0,
     )
-    assert merged.prob_successors(0) == ((F(1), 1),)
+    assert merged.weighted[0] == ((F(1), 1),)
     assert validate(merged) == []
 
 
 def test_menus():
     machine = coin_machine()
     # sole probabilistic root; both its targets offer both buttons
-    targets = [t for _, t in machine.prob_successors(machine.root)]
+    targets = [t for _, t in machine.weighted[machine.root]]
     for target in targets:
         assert machine.menu(target) == frozenset({"h", "t"})
     deadlock = compile_term(parse_term("0"))
@@ -245,11 +197,11 @@ def test_derived_nondeterministic_reroots():
 def test_derived_conditions_and_renormalizes():
     graph = compile_term(parse_term(MENU_CONDITIONING_EXAMPLE))
     after = derived_process(graph, graph.root, frozenset({"a", "b"}), "a")
-    weights = sorted(w for w, _ in after.prob_successors(after.root))
+    weights = sorted(w for w, _ in after.weighted[after.root])
     assert weights == [F(1, 4), F(3, 4)]
     assert validate(after) == []
     # the 1/4 branch continues with c, the 3/4 branch with d
-    by_weight = {w: after.menu(t) for w, t in after.prob_successors(after.root)}
+    by_weight = {w: after.menu(t) for w, t in after.weighted[after.root]}
     assert by_weight[F(1, 4)] == frozenset({"c"})
     assert by_weight[F(3, 4)] == frozenset({"d"})
 
@@ -266,14 +218,14 @@ def test_derived_flattens_probabilistic_successors():
     # conditioning steps through the action and one probabilistic level
     graph = compile_term(parse_term("p{1/2:a->p{1/3:x->0, 2/3:y->0}, 1/2:b->0}"))
     after = derived_process(graph, graph.root, frozenset({"a"}), "a")
-    outcome = {after.menu(t): w for w, t in after.prob_successors(after.root)}
+    outcome = {after.menu(t): w for w, t in after.weighted[after.root]}
     assert outcome == {frozenset({"x"}): F(1, 3), frozenset({"y"}): F(2, 3)}
     assert validate(after) == []
 
 
 def test_derived_mixes_flat_and_deep_successors():
     # two branches with one menu; one a-successor is plain, one branches again
-    graph = Pts.build(
+    graph = build(
         alphabet={"a", "x", "y"},
         kinds={0: "p", 1: "n", 2: "n", 3: "n", 4: "p", 5: "n", 6: "n"},
         action_edges=[(1, "a", 3), (2, "a", 4)],
@@ -287,14 +239,14 @@ def test_derived_mixes_flat_and_deep_successors():
     )
     assert validate(graph) == []
     after = derived_process(graph, 0, frozenset({"a"}), "a")
-    weights = {t: w for w, t in after.prob_successors(after.root)}
+    weights = {t: w for w, t in after.weighted[after.root]}
     assert weights == {3: F(1, 2), 5: F(1, 8), 6: F(3, 8)}
     assert validate(after) == []
 
 
 def test_derived_merges_coincident_targets():
     # Two branches with the same menu whose a-successors are one shared state.
-    shared = Pts.build(
+    shared = build(
         alphabet={"a"},
         kinds={0: "p", 1: "n", 2: "n", 3: "n"},
         action_edges=[(1, "a", 3), (2, "a", 3)],
@@ -306,14 +258,14 @@ def test_derived_merges_coincident_targets():
     # oracle: enumerate the conditioned edges without merging, then sum
     unmerged = []
     total = F(1, 3) + F(2, 3)
-    for weight, branch in shared.prob_successors(0):
-        successor = shared.action_successor(branch, "a")
+    for weight, branch in shared.weighted[0]:
+        successor = shared.actions[branch]["a"]
         unmerged.append((weight / total, successor))
     summed: dict[int, Fraction] = {}
     for weight, target in unmerged:
         summed[target] = summed.get(target, F(0)) + weight
 
-    assert dict((t, w) for w, t in after.prob_successors(after.root)) == summed
+    assert dict((t, w) for w, t in after.weighted[after.root]) == summed
     assert summed == {3: F(1)}
 
 
@@ -323,7 +275,7 @@ def test_derived_output_always_validates():
     from probproc.harness import GenConfig, random_term
 
     graph = compile_term(parse_term(COIN_MACHINE_EARLY))
-    dist_targets = [t for _, t in graph.prob_successors(graph.root)]
+    dist_targets = [t for _, t in graph.weighted[graph.root]]
     for target in dist_targets:
         for action in sorted(graph.menu(target)):
             after = derived_process(graph, graph.root, graph.menu(target), action)
@@ -334,8 +286,8 @@ def test_derived_output_always_validates():
     checked = 0
     for _ in range(200):
         pts = compile_term(random_term(cfg, rng))
-        if pts.kind(pts.root) == "p":
-            menus = {pts.menu(t) for _, t in pts.prob_successors(pts.root)}
+        if pts.kinds[pts.root] == "p":
+            menus = {pts.menu(t) for _, t in pts.weighted[pts.root]}
         else:
             menus = {pts.menu(pts.root)}
         for menu in menus:
@@ -354,7 +306,7 @@ def test_menu_of_compiled_test_root():
 def _from_json(text: str) -> Pts:
     """The graph that a `to_json` document describes."""
     doc = json.loads(text)
-    return Pts.build(
+    return build(
         alphabet=doc["alphabet"],
         kinds={state["id"]: state["kind"] for state in doc["states"]},
         action_edges=[(e["from"], e["label"], e["to"]) for e in doc["action_edges"]],
@@ -372,14 +324,11 @@ def test_json_round_trip():
 
 
 def test_json_rejects_dangling_edge():
-    # The graph of a document whose edge leads to no state is refused by
-    # validate and by the semantics, however it was read.
+    # A document whose edge leads to no state is refused when it is read.
     doc = json.loads(to_json(compile_term(parse_term("a->b->0"))))
     doc["action_edges"][0]["to"] = 7
-    dangling = _from_json(json.dumps(doc))
-    assert validate(dangling) == [f"action edge ({dangling.root},a,7) uses unknown state"]
-    with pytest.raises(ValueError, match="uses unknown state"):
-        ready_trace_equivalent(dangling, dangling)
+    with pytest.raises(ValueError, match=re.escape("edge (0,a,7) uses unknown state")):
+        _from_json(json.dumps(doc))
 
 
 def test_json_round_trips_compiled_test():
@@ -392,7 +341,7 @@ def test_dot_output_styles_probabilistic_edges_dashed():
     assert dot.startswith("digraph")
     assert "style=dashed" in dot
     assert 'label="h"' in dot and 'label="1/2"' in dot
-    quoted = Pts.build(
+    quoted = build(
         alphabet={'a"b', "c\\"},
         kinds={0: "n", 1: "n", 2: "n"},
         action_edges=[(0, 'a"b', 1), (0, "c\\", 2)],
@@ -406,7 +355,7 @@ def test_dot_output_styles_probabilistic_edges_dashed():
 
 def test_tree_signature_ignores_state_names_only():
     one = compile_term(parse_term("a->b->0"))
-    renamed = Pts.build(
+    renamed = build(
         alphabet={"a", "b"},
         kinds={7: "n", 8: "n", 9: "n"},
         action_edges=[(7, "a", 8), (8, "b", 9)],

@@ -25,7 +25,7 @@ from probproc.readytrace import (
 )
 from probproc.semantics import compile_term
 
-from helpers import derived_process, iter_ready_traces
+from helpers import build, derived_process, iter_ready_traces
 
 F = Fraction
 
@@ -155,7 +155,7 @@ def test_equivalence_is_reflexive():
 
 
 def test_cyclic_inputs_rejected():
-    loop = Pts.build(
+    loop = build(
         alphabet={"a"},
         kinds={0: "n"},
         action_edges=[(0, "a", 0)],

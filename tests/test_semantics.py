@@ -32,7 +32,6 @@ from probproc.pts import OMEGA, Pts, to_dot, to_json, validate
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
 from probproc.terms import (
-    EMPTY_ORDER,
     Empty,
     ExternalChoice,
     Priority,
@@ -45,7 +44,7 @@ from probproc.terms import (
     subterms,
 )
 
-from helpers import tree_signature
+from helpers import build, tree_signature
 
 F = Fraction
 
@@ -63,14 +62,14 @@ def test_empty_process_is_one_deadlocked_state():
 
 def test_nested_probabilistic_choice_flattens():
     graph = compiled("p{1/2:a->0, 1/2:p{1/2:b->0, 1/2:c->0}}")
-    weights = sorted(w for w, _ in graph.prob_successors(graph.root))
+    weights = sorted(w for w, _ in graph.weighted[graph.root])
     assert weights == [F(1, 4), F(1, 4), F(1, 2)]
     assert validate(graph) == []
 
 
 def test_equal_weighted_branches_merge():
     graph = compiled("p{1/2:a->0, 1/2:a->0}")
-    assert graph.prob_successors(graph.root) == ((F(1), graph.root + 1),)
+    assert graph.weighted[graph.root] == ((F(1), graph.root + 1),)
 
 
 def test_priority_drops_dominated_actions():
@@ -83,7 +82,7 @@ def test_priority_drops_dominated_actions():
     # priority applies at every later step as well
     order = parse_priority("b > c")
     graph = compiled("prio(a->(b->0 [] c->0))", order)
-    after = graph.action_successor(graph.root, "a")
+    after = graph.actions[graph.root]["a"]
     assert graph.menu(after) == frozenset({"b"})
 
 
@@ -94,44 +93,44 @@ def test_priority_on_deadlock_is_deadlock():
 
 def test_priority_passes_probabilistic_steps_through():
     graph = compiled("prio(p{1/3:a->0, 2/3:b->0})", parse_priority("a > b"))
-    assert graph.kind(graph.root) == "p"
-    menus = {graph.menu(t) for _, t in graph.prob_successors(graph.root)}
+    assert graph.kinds[graph.root] == "p"
+    menus = {graph.menu(t) for _, t in graph.weighted[graph.root]}
     assert menus == {frozenset({"a"}), frozenset({"b"})}
 
 
 def test_lockstep_parallel_synchronizes_everything():
     graph = compiled("(a->b->0) || (a->c->0)")
     assert graph.menu(graph.root) == frozenset({"a"})
-    after = graph.action_successor(graph.root, "a")
+    after = graph.actions[graph.root]["a"]
     assert graph.menu(after) == frozenset()  # b and c cannot synchronize
 
 
 def test_lockstep_parallel_multiplies_weights():
     graph = compiled("p{1/2:a->0, 1/2:b->0} || p{1/3:a->0, 2/3:c->0}")
-    weights = sorted(w for w, _ in graph.prob_successors(graph.root))
+    weights = sorted(w for w, _ in graph.weighted[graph.root])
     assert weights == [F(1, 6), F(1, 6), F(1, 3), F(1, 3)]
     assert validate(graph) == []
 
 
 def test_one_sided_probabilistic_step():
     graph = compiled("p{1/2:a->0, 1/2:b->0} || (a->0)")
-    assert graph.kind(graph.root) == "p"
-    assert sorted(w for w, _ in graph.prob_successors(graph.root)) == [F(1, 2), F(1, 2)]
+    assert graph.kinds[graph.root] == "p"
+    assert sorted(w for w, _ in graph.weighted[graph.root]) == [F(1, 2), F(1, 2)]
 
 
 def test_shared_parallel_synchronizes_only_shared_actions():
     graph = compiled("(a->x->0) |[]| (a->y->0)")
     # a is shared; x and y are not and interleave afterwards
     assert graph.menu(graph.root) == frozenset({"a"})
-    after = graph.action_successor(graph.root, "a")
+    after = graph.actions[graph.root]["a"]
     assert graph.menu(after) == frozenset({"x", "y"})
 
 
 def test_shared_parallel_blocks_interleaving_beside_probabilistic_peer():
     # The left x-step must wait while the right side resolves its choice.
     graph = compiled("(x->0) |[]| p{1/2:a->0, 1/2:b->0}")
-    assert graph.kind(graph.root) == "p"
-    for _, target in graph.prob_successors(graph.root):
+    assert graph.kinds[graph.root] == "p"
+    for _, target in graph.weighted[graph.root]:
         assert "x" in graph.menu(target)
 
 
@@ -139,9 +138,9 @@ def test_shared_parallel_sync_set_fixed_at_composition():
     # After the right side does its only shared action, the leftover left
     # action stays blocked: the synchronization set does not shrink.
     graph = compiled("(a->a->0) |[]| (a->b->0)")
-    after_a = graph.action_successor(graph.root, "a")
+    after_a = graph.actions[graph.root]["a"]
     assert graph.menu(after_a) == frozenset({"b"})  # second a still needs both
-    after_b = graph.action_successor(after_a, "b")
+    after_b = graph.actions[after_a]["b"]
     assert graph.menu(after_b) == frozenset()
 
 
@@ -165,7 +164,7 @@ def test_game_composition_matches_drawn_tree():
     ]
     kinds = {s: k for s, k in kinds.items() if s in
              {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17}}
-    expected = Pts.build(
+    expected = build(
         alphabet={"wrt", "rev", "head", "tail", "g1", "g2", "ok"},
         kinds=kinds,
         action_edges=action_edges,
@@ -180,7 +179,7 @@ def test_tests_compile_with_success_edges():
     graph = compiled("h->p->w [] t->w", test=True)
     assert validate(graph, allow_success=True) == []
     assert OMEGA not in graph.alphabet
-    after_t = graph.action_successor(graph.root, "t")
+    after_t = graph.actions[graph.root]["t"]
     assert OMEGA in graph.menu(after_t)
 
 
@@ -192,7 +191,7 @@ def test_compiled_random_terms_always_validate():
         order = random_priority_order(cfg, rng)
         graph = compile_term(term, order)
         assert validate(graph) == []
-        assert graph.is_acyclic
+        assert graph.is_acyclic and "_order" not in vars(graph)  # handed over, not walked
         assert graph.alphabet == alphabet(term)
 
 
@@ -427,6 +426,25 @@ def test_building_a_long_shared_chain_stays_small():
     assert peak < 16 * 2**20
 
 
+def test_a_compiled_graph_keeps_each_step_once():
+    # The k=5 |[]| chain of early coin machines has 1,025 states.  Its graph
+    # retains 0.39 MB when each step is stored once, in the maps, and 0.83 MB
+    # when every step is also kept in an edge list.
+    term = parse_term(" |[]| ".join(
+        f"(p{{1/2:(h{i}->p{i}->0 [] t{i}->0), 1/2:(h{i}->0 [] t{i}->p{i}->0)}})"
+        for i in range(5)
+    ))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = compile_term(term)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph.kinds) == 1025
+    assert retained < 0.6 * 2**20
+
+
 def test_composition_warnings_handle_a_long_chain():
     chain = prefix("a0")
     for i in range(1, 10_000):
@@ -434,31 +452,6 @@ def test_composition_warnings_handle_a_long_chain():
     started = time.perf_counter()
     assert composition_warnings(chain) == []
     assert time.perf_counter() - started < 5
-
-
-def test_compiled_maps_match_the_maps_built_from_edges():
-    """`compile_term` hands the graph the maps its walk built; they, and all
-    the graph derives from them, equal those of the same edges rebuilt."""
-    rng = random.Random(16)
-    cfg = GenConfig(alphabet_size=4, seed=16)
-    ordered = 0
-    for term in _fast_path_corpus():
-        for order in (EMPTY_ORDER, random_priority_order(cfg, rng)):
-            graph = compile_term(term, order)
-            handed = vars(graph)
-            rebuilt = Pts.build(
-                graph.alphabet, graph.kinds, graph.action_edges, graph.prob_edges, graph.root
-            )
-            assert list(handed["_action_map"].items()) == list(rebuilt._action_map.items())
-            for state, actions in handed["_action_map"].items():
-                assert list(actions.items()) == list(rebuilt._action_map[state].items())
-            assert list(handed["_prob_map"].items()) == list(rebuilt._prob_map.items())
-            assert handed["is_acyclic"] is rebuilt.is_acyclic is True
-            assert graph._order == rebuilt._order
-            assert graph.action_depth == rebuilt.action_depth
-            assert to_json(graph) == to_json(rebuilt)
-            ordered += bool(order.pairs)
-    assert ordered > 1000
 
 
 def _round_trips(term):
