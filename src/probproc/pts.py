@@ -112,7 +112,13 @@ class Pts:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        """Handed over by `Pts.acyclic`, else read off `_order`."""
+        """Handed over by `Pts.acyclic`, else read off `_order`.  A graph
+        written as maps is first checked for a weight outside (0,1], which
+        is refused in `validate`'s words, so no analysis reads one."""
+        for src, pairs in self.weighted.items():
+            for weight, dst in pairs:
+                if not 0 < weight <= 1:
+                    raise ValueError(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
         return self._order is not None
 
     def require_acyclic(self) -> None:

@@ -133,17 +133,51 @@ def test_an_edge_with_an_unknown_end_is_reported(edge):
         build({"a"}, {0: "n"}, [edge], [], 0)
 
 
-@pytest.mark.parametrize("weight", [F(0), F(3, 2)], ids=["zero", "three halves"])
-def test_a_weight_outside_the_unit_interval_is_reported(weight):
-    # A probabilistic root whose one weighted step, of this weight, leads to
-    # a state offering a: validate reports it and the writers still take it.
+def _one_weight(weight: Fraction) -> Pts:
+    """A probabilistic root whose one weighted step, of this weight, leads
+    to a state offering a."""
     kinds = {0: "p", 1: "n", 2: "n"}
-    graph = Pts({"a"}, kinds, {0: {}, 1: {"a": 2}, 2: {}}, {0: ((weight, 1),), 1: (), 2: ()}, 0)
-    message = f"weight {weight} of edge (0,1) is outside (0,1]"
-    assert validate(graph)[0] == message
+    return Pts({"a"}, kinds, {0: {}, 1: {"a": 2}, 2: {}}, {0: ((weight, 1),), 1: (), 2: ()}, 0)
+
+
+_WEIGHTS = pytest.mark.parametrize("weight", [F(0), F(3, 2)], ids=["zero", "three halves"])
+
+
+def _outside(weight: Fraction) -> str:
+    return re.escape(f"weight {weight} of edge (0,1) is outside (0,1]")
+
+
+@_WEIGHTS
+def test_a_weight_outside_the_unit_interval_is_reported(weight):
+    # validate reports the weight; written as edges, it is refused.
+    assert validate(_one_weight(weight))[0] == f"weight {weight} of edge (0,1) is outside (0,1]"
+    with pytest.raises(ValueError, match=_outside(weight)):
+        build({"a"}, {0: "p", 1: "n", 2: "n"}, [(1, "a", 2)], [(0, weight, 1)], 0)
+
+
+@_WEIGHTS
+def test_menu_distribution_refuses_a_weight_outside_the_unit_interval(weight):
+    graph = _one_weight(weight)
+    # validate and the writers read the maps, so they still take the graph
+    assert validate(graph)[0] == f"weight {weight} of edge (0,1) is outside (0,1]"
     assert to_json(graph) and to_dot(graph)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        build({"a"}, kinds, [(1, "a", 2)], [(0, weight, 1)], 0)
+    with pytest.raises(ValueError, match=_outside(weight)):
+        menu_distribution(graph)
+
+
+@_WEIGHTS
+def test_ready_trace_equivalent_refuses_a_weight_outside_the_unit_interval(weight):
+    offer = compile_term(parse_term("a"))
+    for left, right in ((_one_weight(weight), offer), (offer, _one_weight(weight))):
+        with pytest.raises(ValueError, match=_outside(weight)):
+            ready_trace_equivalent(left, right)
+
+
+@_WEIGHTS
+def test_apply_test_refuses_a_weight_outside_the_unit_interval(weight):
+    probe = compile_term(parse_test("a->w"))
+    with pytest.raises(ValueError, match=_outside(weight)):
+        apply_test(_one_weight(weight), probe)
 
 
 def _naive_action_depth(graph: Pts, state: int) -> int:
