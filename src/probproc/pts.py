@@ -7,11 +7,12 @@ A graph is its maps: per state, an action map from label to successor, so
 the choice offered by a nondeterministic state is between actions only,
 and a tuple of (weight, successor) pairs, at most one per successor.
 
-`validate` reports a weighted step to a probabilistic state, and
-`compile_term` never makes one, but a graph built by hand may chain
-weighted steps.  Both semantics read weighted steps through one routine per
-graph (`Pts._settled`): the settled (nondeterministic) states a state
-reaches, with the weights multiplied along each path and added over paths,
+Every analysis reads only graphs that `validate` passes: a graph that
+`compile_term` builds is handed over as valid, any other is checked once by
+`Pts.require_valid`, the one gate, before the first analysis reads it.  So
+a weighted step always leads to a nondeterministic state, and both
+semantics read weighted steps through one routine per graph
+(`Pts._settled`): the settled states a state reaches, with their weights,
 which is all an observer or a test can tell of a random choice.
 
 The reserved label "w" marks the success action of tests; it is never part
@@ -36,6 +37,8 @@ Menu = frozenset[str]
 
 _target = itemgetter(1)
 
+_CYCLE = "graph contains a cycle"
+
 
 class CyclicGraphError(ValueError):
     """Raised when an operation that needs an acyclic graph receives a cycle."""
@@ -51,7 +54,7 @@ class Pts:
     `{}` and `()` for a state of the other kind.
 
     `compile_term` builds the maps in its walk and hands them, with the fact
-    that the graph is acyclic, to `Pts.acyclic`.
+    that `validate` passes the graph, to `Pts.valid`.
     """
 
     alphabet: frozenset[str]
@@ -61,16 +64,17 @@ class Pts:
     root: int
 
     @staticmethod
-    def acyclic(
+    def valid(
         alphabet: frozenset[str],
         kinds: dict[int, str],
         actions: dict[int, dict[str, int]],
         weighted: dict[int, tuple[tuple[Fraction, int], ...]],
         root: int,
     ) -> Pts:
-        """A graph its builder knows to be acyclic, never walked to find out."""
+        """A graph its builder knows `validate` to pass, never checked or
+        walked to find out."""
         pts = Pts(alphabet, kinds, actions, weighted, root)
-        pts.__dict__["is_acyclic"] = True
+        pts.__dict__.update(is_acyclic=True, _problems=())
         return pts
 
     def menu(self, state: int) -> Menu:
@@ -112,23 +116,29 @@ class Pts:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        """Handed over by `Pts.acyclic`, else read off `_order`.  A graph
-        written as maps is first checked for a weight outside (0,1], which
-        is refused in `validate`'s words, so no analysis reads one."""
-        for src, pairs in self.weighted.items():
-            for weight, dst in pairs:
-                if not 0 < weight <= 1:
-                    raise ValueError(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
+        """Handed over by `Pts.valid`, else read off `_order`."""
         return self._order is not None
 
-    def require_acyclic(self) -> None:
-        if not self.is_acyclic:
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """What `validate` reports, success steps allowed; handed over empty
+        by `Pts.valid`."""
+        return tuple(validate(self, allow_success=True))
+
+    def require_valid(self) -> None:
+        """The gate every analysis passes before it reads the graph.  A graph
+        `validate` reports is refused: a cycle alone with CyclicGraphError,
+        anything else with one ValueError line of its problems."""
+        problems = self._problems
+        if problems == (_CYCLE,):
             raise CyclicGraphError("operation requires an acyclic graph")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @cached_property
     def action_depth(self) -> int:
         """Largest number of action edges on any path from the root."""
-        self.require_acyclic()
+        self.require_valid()
         depth: dict[int, int] = {}
         actions, weighted = self.actions, self.weighted
         for state in self._order:
@@ -143,6 +153,7 @@ class Pts:
     def _settled(self) -> _Filled:
         """Per state, the settled states it reaches through weighted steps
         (`_settle`), each state's filled once; read by both semantics."""
+        self.require_valid()
         return _Filled(partial(_settle, self.kinds, self.weighted))
 
     @cached_property
@@ -164,8 +175,8 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     """Check every structural invariant, returning one message per violation.
 
     Never raises: an empty list means the graph is well formed and acyclic.
-    Cyclic graphs are merely flagged here; operations that need acyclicity
-    reject them with CyclicGraphError themselves.
+    A cycle is looked for only in a graph with no other problem; every
+    analysis refuses a graph reported here (`Pts.require_valid`).
     """
     problems: list[str] = []
     states = set(pts.kinds)
@@ -174,6 +185,9 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     for state, kind in pts.kinds.items():
         if kind not in ("n", "p"):
             problems.append(f"state {state} has unknown kind {kind!r}")
+        for name, entries in (("action map", pts.actions), ("weighted tuple", pts.weighted)):
+            if state not in entries:
+                problems.append(f"state {state} has no {name}")
 
     allowed = set(pts.alphabet) | ({OMEGA} if allow_success else set())
     if OMEGA in pts.alphabet:
@@ -189,32 +203,30 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
         if label not in allowed:
             problems.append(f"label {label!r} is not in the alphabet")
 
-    weight_sums: dict[int, Fraction] = {}
+    steps: set[tuple[int, int]] = set()
     for src, weight, dst in prob_edges:
         if src not in states or dst not in states:
             problems.append(f"probabilistic edge ({src},{weight},{dst}) uses unknown state")
             continue
         if pts.kinds[src] != "p":
             problems.append(f"probabilistic edge leaves nondeterministic state {src}")
-        if pts.kinds.get(dst) == "p":
+        if pts.kinds[dst] == "p":
             problems.append(f"probabilistic edge targets probabilistic state {dst}")
+        if (src, dst) in steps:
+            problems.append(f"weighted tuple of state {src} names successor {dst} twice")
+        steps.add((src, dst))
         if not (0 < weight <= 1):
             problems.append(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
-        weight_sums[src] = weight_sums.get(src, Fraction(0)) + weight
 
     for state, kind in pts.kinds.items():
-        if kind != "p":
-            continue
-        total = weight_sums.get(state, Fraction(0))
-        if total == 0:
-            problems.append(
-                f"state {state} is probabilistic but has no outgoing edges"
-            )
-        elif total != 1:
+        pairs = pts.weighted.get(state)
+        if kind == "p" and not pairs:
+            problems.append(f"state {state} is probabilistic but has no outgoing edges")
+        elif kind == "p" and (total := sum(weight for weight, _ in pairs)) != 1:
             problems.append(f"weights leaving state {state} sum to {total}, not 1")
 
     if not problems and not pts.is_acyclic:
-        problems.append("graph contains a cycle")
+        problems.append(_CYCLE)
     return problems
 
 
@@ -246,32 +258,17 @@ class _Filled(dict):
 
 
 def _settle(kinds, weighted, state: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The settled (nondeterministic) states that the state reaches through
-    weighted steps, as (denominator, ((weight, settled state), ...)).  Each
-    weight is an integer over the one denominator: the product of the edge
-    weights along a path, added over the paths to the same state.  States
-    come in the order the paths first reach them; a nondeterministic state
-    reaches itself alone.  Raises ValueError at a probabilistic state with
-    no outgoing edge.  The graph must be acyclic."""
+    """The settled (nondeterministic) states that the state reaches, as
+    (denominator, ((weight, settled state), ...)): a nondeterministic state
+    reaches itself alone, a probabilistic state its weighted tuple, each
+    weight an integer over the lcm of the weights' denominators.  The graph
+    is one `validate` passes, so every weighted step settles."""
     if kinds[state] == "n":
         return 1, ((1, state),)
-    edges = weighted[state]
-    if not edges or any(kinds[dst] == "p" for _, dst in edges):
-        # Weighted steps that chain, which only graphs built by hand have.
-        reached: dict[int, Fraction] = {}
-        stack = [(Fraction(1), state)]
-        while stack:
-            weight, node = stack.pop()
-            if kinds[node] == "n":
-                reached[node] = reached[node] + weight if node in reached else weight
-            elif weighted[node]:
-                stack += [(weight * w, dst) for w, dst in reversed(weighted[node])]
-            else:
-                raise ValueError(f"state {node} is probabilistic but has no outgoing edges")
-        edges = [(weight, node) for node, weight in reached.items()]
-    common = lcm(*(weight.denominator for weight, _ in edges))
+    pairs = weighted[state]
+    common = lcm(*(weight.denominator for weight, _ in pairs))
     return common, tuple(
-        (weight.numerator * (common // weight.denominator), dst) for weight, dst in edges
+        (weight.numerator * (common // weight.denominator), dst) for weight, dst in pairs
     )
 
 

@@ -131,7 +131,6 @@ def _label(word: str) -> str:
 
 def menu_distribution(pts: Pts) -> dict[Menu, Fraction]:
     """Probability of each initially observable menu (support only)."""
-    pts.require_acyclic()
     table = pts.positions
     return table.distribution(table.start(pts.root))
 
@@ -142,7 +141,6 @@ def trace_probability(pts: Pts, trace: ReadyTrace) -> Probability:
     Undefined exactly when some strict prefix already has probability zero;
     a zero for the final menu alone is a defined zero.
     """
-    pts.require_acyclic()
     table = pts.positions
     pos = table.start(pts.root)
     num = den = 1
@@ -260,8 +258,6 @@ def ready_trace_equivalent(left: Pts, right: Pts) -> TraceVerdict:
     """Decide observational equivalence; witnesses carry both probabilities,
     each the product of the menu probabilities along the trace.  The trace
     is the differing path that `views_differ` memoized."""
-    left.require_acyclic()
-    right.require_acyclic()
     lt, rt = left.positions, right.positions
     memo: dict = {}
     pair = (lt.start(left.root), rt.start(right.root))

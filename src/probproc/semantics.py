@@ -193,7 +193,8 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     States are numbered in breadth-first order from the root, 0.  The walk
     builds each state's action map and weighted tuple as it goes, merging
     weighted steps to one target by adding their weights, and hands them to
-    `Pts.acyclic`, since every step leads to a smaller term.
+    `Pts.valid`: every step leads to a smaller term, and every weighted step
+    to a nondeterministic one, since `prob_steps` flattens nested choices.
     """
     compiler = _Compiler(order)
     root, labels = _pin_sync_sets(term)
@@ -229,7 +230,7 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
                     nodes.append(target)
             kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    return Pts.acyclic(labels, kinds, actions, weighted, 0)
+    return Pts.valid(labels, kinds, actions, weighted, 0)
 
 
 def composition_warnings(term: Term) -> list[str]:

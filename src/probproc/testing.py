@@ -34,7 +34,7 @@ from .pts import OMEGA, Pts
 from .ratfunc import RationalFn
 from .readytrace import differing_path, views_differ
 from .semantics import _Compiler
-from .terms import EMPTY_ORDER, ExternalChoice, Term, success
+from .terms import EMPTY_ORDER, ExternalChoice, Term, render, success
 
 
 _ZERO = RationalFn.zero()
@@ -162,14 +162,13 @@ class _GraphSteps:
     the graph's own maps, `()` and `{}` for a state of the other kind."""
 
     def __init__(self, test: Pts):
+        test.require_valid()
         self.prob_steps = test.weighted.__getitem__
         self.action_steps = test.actions.__getitem__
 
 
 def apply_test(process: Pts, test: Pts) -> RationalFn:
     """The exact symbolic outcome of running the test against the process."""
-    process.require_acyclic()
-    test.require_acyclic()
     return _Outcomes(process, _GraphSteps(test)).of(test.root)
 
 
@@ -251,7 +250,6 @@ def count_tests(universes, max_depth: int, cap: int | None = None) -> int:
 def _level_universes(pts: Pts, depth: int) -> list[frozenset[str]]:
     """Actions enabled after exactly k synchronized steps, for k < depth;
     weighted steps are followed through the graph's `_settled` routine."""
-    pts.require_acyclic()
     settled_of, actions = pts._settled, pts.actions
     levels: list[frozenset[str]] = []
     frontier = {pts.root}
@@ -400,8 +398,6 @@ class TestVerdict:
     def describe(self) -> str:
         if self.equivalent:
             return f"equivalent up to test depth {self.depth}"
-        from .terms import render
-
         return (
             f"distinguished by test {render(self.test)}: "
             f"{self.left_result} vs {self.right_result}"
@@ -421,8 +417,6 @@ def bounded_testing_equivalent(
     exact depth are run.  With a budget, raises ValueError, before any
     work, when there are more tests than it.
     """
-    left.require_acyclic()
-    right.require_acyclic()
     if depth is None:
         depth = max(left.action_depth, right.action_depth) + 1
     if depth < 0:
@@ -487,8 +481,6 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
     exactly when its menu is not inside M, and the menus strictly inside M
     come earlier, so the outcomes differ by p_R(M) - p_L(M).
     """
-    left.require_acyclic()
-    right.require_acyclic()
     lt, rt = left.positions, right.positions
     memo: dict = {}
     start = (lt.start(left.root), rt.start(right.root))

@@ -51,7 +51,7 @@ def tree_signature(pts: Pts):
     between signatures of two different graphs still compares their
     unfoldings, which may be exponentially larger than the graphs.
     """
-    pts.require_acyclic()
+    pts.require_valid()
     signatures: dict[int, tuple] = {}
     digests: dict[int, bytes] = {}
     for node in pts._order:
@@ -75,7 +75,6 @@ def derived_process(pts: Pts, state: int, menu: Menu, action: str) -> Pts:
     successor.  For a probabilistic state it gets a fresh root whose
     weighted steps are the conditioned distribution.
     """
-    pts.require_acyclic()
     table = pts.positions
     pid = table.child(table.start(state), frozenset(menu), action)
     if pts.kinds[state] == "n":
@@ -99,7 +98,6 @@ def iter_ready_traces(pts: Pts, max_len: int | None = None):
     max_len defaults to one more than the graph's action depth, beyond which
     every trace ends in the empty menu and cannot extend.
     """
-    pts.require_acyclic()
     if max_len is None:
         max_len = pts.action_depth + 1
     table = pts.positions

@@ -1,8 +1,9 @@
 """Interned positions: the integer table against the Fraction views it
-replaced, chained weighted steps, conditioning counts, and graphs too deep
-for recursion."""
+replaced, refused and mutated hand-made graphs, conditioning counts, and
+graphs too deep for recursion."""
 
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -18,10 +19,9 @@ from probproc.harness import (
     equivalent_pair,
     prefix_distribution_pair,
     random_priority_order,
-    raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import MenuNotOffered, Positions, Pts, _edges, format_menu
+from probproc.pts import MenuNotOffered, Positions, Pts, _edges, format_menu, validate
 from probproc.readytrace import (
     ReadyTrace,
     menu_key,
@@ -395,30 +395,184 @@ def _chained(pts: Pts, rng: random.Random) -> Pts:
 
 
 @pytest.mark.parametrize("seed", [2009, 20260809])
-def test_chained_weighted_steps_change_nothing(seed):
-    """Both semantics read weighted steps through one closure, so a graph
-    whose weighted edges run through chains of fresh probabilistic states,
-    or split into paths whose weights add, gives every verdict, trace,
-    probability and witness of the graph it was built from."""
+def test_chained_weighted_steps_are_refused(seed):
+    """A graph whose weighted edges run through chains of fresh
+    probabilistic states, or split into paths whose weights add, is one
+    that `validate` reports, so every analysis refuses it in those words."""
     rng = random.Random(seed)
-    distinguished = 0
+    refused = 0
     for left, right in _corpus(seed, 30):
         chained = (_chained(left, rng), _chained(right, rng))
-        assert ready_trace_equivalent(*chained) == ready_trace_equivalent(left, right)
-        tested = testing.bounded_testing_equivalent(left, right)
-        assert testing.bounded_testing_equivalent(*chained).describe() == tested.describe()
-        witness = distinguishing_test(left, right)
-        assert distinguishing_test(*chained) == witness
-        distinguished += witness is not None
-        for flat, graph in zip((left, right), chained):
-            chains = any(graph.kinds[dst] == "p" for _, _, dst in _edges(graph)[1])
-            assert chains == any(flat.weighted.values())
-            traces = list(iter_ready_traces(flat))
-            assert list(iter_ready_traces(graph)) == traces
-            for trace, probability in traces:
-                assert trace_probability(graph, trace) == probability
-                assert raw_trace_probability(graph, trace) == probability
-    assert 20 < distinguished < 40
+        for flat, graph, other in zip((left, right), chained, (right, left)):
+            if not any(graph.kinds[dst] == "p" for _, _, dst in _edges(graph)[1]):
+                assert not any(flat.weighted.values())
+                continue
+            refused += 1
+            for call in (
+                lambda: ready_trace_equivalent(graph, other),
+                lambda: ready_trace_equivalent(other, graph),
+                lambda: testing.bounded_testing_equivalent(graph, other),
+                lambda: distinguishing_test(other, graph),
+                lambda: next(iter_ready_traces(graph)),
+                lambda: apply_test(graph, compile_term(parse_test("a->w"))),
+            ):
+                with pytest.raises(
+                    ValueError, match="probabilistic edge targets probabilistic state"
+                ):
+                    call()
+    assert refused > 60
+
+
+# --- mutated graphs ------------------------------------------------------------
+#
+# Each mutation changes one compiled graph by hand, at a state the rng picks,
+# and returns None where the graph has no state it applies to.  Fresh states
+# are numbered past the graph's, so no mutation makes a cycle.
+
+
+def _pick(rng, pts, kind):
+    states = [state for state, tag in pts.kinds.items() if tag == kind]
+    return rng.choice(states) if states else None
+
+
+def _with(pts, **maps):
+    """The graph with these states' entries replaced in its maps."""
+    return replace(pts, **{name: getattr(pts, name) | entries for name, entries in maps.items()})
+
+
+def _with_leaf(pts):
+    """A fresh nondeterministic state offering nothing, and the graph with it."""
+    leaf = max(pts.kinds) + 1
+    return leaf, _with(pts, kinds={leaf: "n"}, actions={leaf: {}}, weighted={leaf: ()})
+
+
+def _duplicate_pair(pts, rng):
+    state = _pick(rng, pts, "p")
+    if state is None:
+        return None
+    pairs = pts.weighted[state]
+    return _with(pts, weighted={state: pairs + (rng.choice(pairs),)})
+
+
+def _split_pair(pts, rng):
+    """One pair written as two halves naming the same successor."""
+    state = _pick(rng, pts, "p")
+    if state is None:
+        return None
+    pairs = list(pts.weighted[state])
+    index = rng.randrange(len(pairs))
+    weight, dst = pairs[index]
+    pairs[index : index + 1] = [(weight / 2, dst), (weight / 2, dst)]
+    return _with(pts, weighted={state: tuple(pairs)})
+
+
+def _move_weight(pts, rng):
+    """Part of one pair's weight moved to another pair; the sum stays one."""
+    states = [state for state, pairs in pts.weighted.items() if len(pairs) > 1]
+    if not states:
+        return None
+    state = rng.choice(states)
+    pairs = list(pts.weighted[state])
+    give, take = rng.sample(range(len(pairs)), 2)
+    part = pairs[give][0] * F(rng.randint(1, 3), 4)
+    pairs[give] = (pairs[give][0] - part, pairs[give][1])
+    pairs[take] = (pairs[take][0] + part, pairs[take][1])
+    return _with(pts, weighted={state: tuple(pairs)})
+
+
+def _drop_weight(pts, rng):
+    """One pair's weight halved, so the weights sum to less than one."""
+    state = _pick(rng, pts, "p")
+    if state is None:
+        return None
+    pairs = list(pts.weighted[state])
+    index = rng.randrange(len(pairs))
+    pairs[index] = (pairs[index][0] / 2, pairs[index][1])
+    return _with(pts, weighted={state: tuple(pairs)})
+
+
+def _action_on_probabilistic(pts, rng):
+    state = _pick(rng, pts, "p")
+    if state is None:
+        return None
+    leaf, graph = _with_leaf(pts)
+    return _with(graph, actions={state: {"a": leaf}})
+
+
+def _weighted_on_nondeterministic(pts, rng):
+    state = _pick(rng, pts, "n")
+    leaf, graph = _with_leaf(pts)
+    return _with(graph, weighted={state: ((F(1), leaf),)})
+
+
+def _foreign_label(pts, rng):
+    state = _pick(rng, pts, "n")
+    leaf, graph = _with_leaf(pts)
+    return _with(graph, actions={state: {**pts.actions[state], "z": leaf}})
+
+
+def _retarget_at_probabilistic(pts, rng):
+    """One weighted step routed through a fresh weight-one probabilistic state."""
+    state = _pick(rng, pts, "p")
+    if state is None:
+        return None
+    pairs = list(pts.weighted[state])
+    index = rng.randrange(len(pairs))
+    weight, dst = pairs[index]
+    fresh = max(pts.kinds) + 1
+    pairs[index] = (weight, fresh)
+    return _with(
+        pts,
+        kinds={fresh: "p"},
+        actions={fresh: {}},
+        weighted={fresh: ((F(1), dst),), state: tuple(pairs)},
+    )
+
+
+_MUTATIONS = (
+    _duplicate_pair,
+    _split_pair,
+    _move_weight,
+    _drop_weight,
+    _action_on_probabilistic,
+    _weighted_on_nondeterministic,
+    _foreign_label,
+    _retarget_at_probabilistic,
+)
+
+
+@pytest.mark.parametrize("seed", [2009, 20260809])
+def test_every_accepted_mutation_keeps_the_two_verdicts_equal(seed):
+    """Each compiled graph of the corpus gets one mutation.  The mutated
+    graph is either refused by both deciders, in `validate`'s words, or
+    both decide it the same way against the graph it was made from: the
+    paper's coincidence of testing and ready traces, on every graph the
+    library accepts."""
+    rng = random.Random(seed)
+    applied, refused = Counter(), Counter()
+    for pair in _corpus(seed, 20):
+        for original in pair:
+            mutations = list(_MUTATIONS)
+            rng.shuffle(mutations)
+            mutation, mutated = next(
+                (f, graph) for f in mutations if (graph := f(original, rng)) is not None
+            )
+            applied[mutation.__name__] += 1
+            problems = "; ".join(validate(mutated, allow_success=True))
+            try:
+                verdict = ready_trace_equivalent(mutated, original)
+            except ValueError as exc:
+                assert str(exc) == problems
+                with pytest.raises(ValueError, match=re.escape(problems)):
+                    testing.bounded_testing_equivalent(original, mutated)
+                refused[mutation.__name__] += 1
+                continue
+            tested = testing.bounded_testing_equivalent(mutated, original)
+            assert tested.equivalent == verdict.equivalent, mutation.__name__
+            assert not problems
+    assert applied.keys() == {m.__name__ for m in _MUTATIONS}
+    assert refused.keys() == applied.keys() - {"_move_weight"}
+    assert refused["_move_weight"] == 0
 
 
 # --- counting ----------------------------------------------------------------

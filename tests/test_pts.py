@@ -180,6 +180,103 @@ def test_apply_test_refuses_a_weight_outside_the_unit_interval(weight):
         apply_test(_one_weight(weight), probe)
 
 
+def _maps(kinds, actions, weighted, root=0, alphabet=("a", "b")) -> Pts:
+    """A graph written as maps, `{}` and `()` for the entries not given."""
+    return Pts(
+        frozenset(alphabet),
+        kinds,
+        {state: {} for state in kinds} | actions,
+        {state: () for state in kinds} | weighted,
+        root,
+    )
+
+
+# One graph per problem that `validate` reports, with its report.
+_MALFORMED = {
+    "weights summing to 1/2": (
+        _one_weight(F(1, 2)),
+        ["weights leaving state 0 sum to 1/2, not 1"],
+    ),
+    "a weight outside (0,1]": (
+        _one_weight(F(3, 2)),
+        ["weight 3/2 of edge (0,1) is outside (0,1]", "weights leaving state 0 sum to 3/2, not 1"],
+    ),
+    "an action step leaving a probabilistic state": (
+        _maps({0: "p", 1: "n"}, {0: {"a": 1}}, {0: ((F(1), 1),)}),
+        ["action edge leaves probabilistic state 0"],
+    ),
+    "a weighted step leaving a nondeterministic state": (
+        _maps({0: "n", 1: "n"}, {}, {0: ((F(1), 1),)}),
+        ["probabilistic edge leaves nondeterministic state 0"],
+    ),
+    "a weighted step to a probabilistic state": (
+        _maps({0: "p", 1: "p", 2: "n"}, {}, {0: ((F(1), 1),), 1: ((F(1), 2),)}),
+        ["probabilistic edge targets probabilistic state 1"],
+    ),
+    "a probabilistic state without steps": (
+        _maps({0: "p"}, {}, {}),
+        ["state 0 is probabilistic but has no outgoing edges"],
+    ),
+    "a label outside the alphabet": (
+        _maps({0: "n", 1: "n"}, {0: {"z": 1}}, {}),
+        ["label 'z' is not in the alphabet"],
+    ),
+    "an unknown kind": (
+        _maps({0: "x"}, {}, {}),
+        ["state 0 has unknown kind 'x'"],
+    ),
+    "a root that is not a state": (
+        _maps({0: "n"}, {}, {}, root=5),
+        ["root 5 is not a state"],
+    ),
+    "a missing map entry": (
+        Pts(frozenset({"a"}), {0: "n", 1: "n"}, {0: {"a": 1}}, {0: ()}, 0),
+        ["state 1 has no action map", "state 1 has no weighted tuple"],
+    ),
+    "a successor named twice": (
+        _maps(
+            {0: "p", 1: "n", 2: "n", 3: "n"},
+            {1: {"a": 3}, 2: {"b": 3}},
+            {0: ((F(1, 4), 1), (F(1, 4), 1), (F(1, 2), 2))},
+        ),
+        ["weighted tuple of state 0 names successor 1 twice"],
+    ),
+    "a cycle": (
+        _maps({0: "n"}, {0: {"a": 0}}, {}),
+        ["graph contains a cycle"],
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, problems", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_every_analysis_refuses_a_graph_validate_reports(graph, problems):
+    assert validate(graph, allow_success=True) == problems
+    # A cycle alone is refused as such; anything else in validate's words.
+    error, message = (
+        (CyclicGraphError, "operation requires an acyclic graph")
+        if problems == ["graph contains a cycle"]
+        else (ValueError, "; ".join(problems))
+    )
+    offer = compile_term(parse_term("a"))
+    probe = compile_term(parse_test("a->w"))
+    for call in (
+        lambda: graph.action_depth,
+        lambda: menu_distribution(graph),
+        lambda: trace_probability(graph, ReadyTrace((frozenset("a"),), ())),
+        lambda: distinguishing_test(graph, offer),
+        lambda: distinguishing_test(offer, graph),
+        lambda: ready_trace_equivalent(graph, offer),
+        lambda: ready_trace_equivalent(offer, graph),
+        lambda: bounded_testing_equivalent(graph, offer),
+        lambda: bounded_testing_equivalent(offer, graph, depth=1),
+        lambda: apply_test(graph, probe),
+        lambda: apply_test(offer, graph),
+    ):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def _naive_action_depth(graph: Pts, state: int) -> int:
     actions = [1 + _naive_action_depth(graph, dst) for dst in graph.actions[state].values()]
     weighted = [_naive_action_depth(graph, dst) for _, dst in graph.weighted[state]]

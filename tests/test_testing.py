@@ -23,10 +23,9 @@ from probproc.harness import (
     equivalent_pair,
     random_priority_order,
     random_term,
-    raw_trace_probability,
 )
 from probproc.parser import parse_term, parse_test
-from probproc.pts import Pts
+from probproc.pts import Pts, validate
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import menu_distribution, ready_trace_equivalent
 from probproc.semantics import _Compiler, compile_term
@@ -446,10 +445,11 @@ def _searched(left: Pts, right: Pts, depth: int):
     )
 
 
-def test_weights_sum_over_paths():
+def test_weighted_steps_that_chain_are_refused():
     """State 2 is reached by two weighted paths, 1/2 directly and 1/2 * 1/2
-    through the probabilistic state 1, so the graph matches the flat term
-    only if the weights of the two paths are added."""
+    through the probabilistic state 1.  `validate` reports the step to
+    state 1, so every analysis refuses the graph in those words; the flat
+    term is the way to write it."""
     chain = build(
         alphabet={"a", "b", "c"},
         kinds={0: "p", 1: "p", 2: "n", 3: "n", 4: "n", 5: "n"},
@@ -457,25 +457,23 @@ def test_weights_sum_over_paths():
         prob_edges=[(0, F(1, 2), 2), (0, F(1, 2), 1), (1, F(1, 2), 2), (1, F(1, 2), 3)],
         root=0,
     )
+    problem = "probabilistic edge targets probabilistic state 1"
+    assert validate(chain) == [problem]
     flat = graph("p{3/4:(a->c->0 [] b->0), 1/4:a->0}")
-    # The one weighted closure both semantics read: 3/4 and 1/4 over 4.
-    assert _Outcomes(chain, _Compiler(EMPTY_ORDER))._settled[0] == (4, ((3, 2), (1, 3)))
-    assert _decided(chain, flat, 3) is None
-    verdict = bounded_testing_equivalent(chain, flat)
-    assert verdict.equivalent and verdict.depth == 3
-    assert ready_trace_equivalent(chain, flat).equivalent
-    assert distinguishing_test(chain, flat) is None
-    assert menu_distribution(chain) == {frozenset("ab"): F(3, 4), frozenset("a"): F(1, 4)}
-    traces = list(iter_ready_traces(chain))
-    assert [trace for trace, _ in traces] == [trace for trace, _ in iter_ready_traces(flat)]
-    for trace, probability in traces:
-        assert probability == raw_trace_probability(chain, trace) > 0
-
-    other = graph("p{1/2:(a->c->0 [] b->0), 1/2:a->0}")
-    assert not ready_trace_equivalent(chain, other).equivalent
-    assert not bounded_testing_equivalent(chain, other).equivalent
-    witness = compile_term(distinguishing_test(chain, other))
-    assert apply_test(chain, witness) != apply_test(other, witness)
+    probe = compile_term(parse_test("a->w"))
+    for call in (
+        lambda: _Outcomes(chain, _Compiler(EMPTY_ORDER)),
+        lambda: _decided(flat, chain, 3),
+        lambda: bounded_testing_equivalent(chain, flat),
+        lambda: ready_trace_equivalent(flat, chain),
+        lambda: distinguishing_test(chain, flat),
+        lambda: menu_distribution(chain),
+        lambda: apply_test(chain, probe),
+        lambda: apply_test(flat, chain),
+        lambda: next(iter_ready_traces(chain)),
+    ):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            call()
 
 
 def test_search_matches_canonical_outcomes():
