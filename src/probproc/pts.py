@@ -54,7 +54,9 @@ class Pts:
     `{}` and `()` for a state of the other kind.
 
     `compile_term` builds the maps in its walk and hands them, with the fact
-    that `validate` passes the graph, to `Pts.valid`.
+    that `validate` passes the graph, to `Pts.valid`.  The maps must not
+    change after the graph's first analysis: the gate's verdict and the
+    tables read from them are cached per graph.
     """
 
     alphabet: frozenset[str]
@@ -204,6 +206,7 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
             problems.append(f"label {label!r} is not in the alphabet")
 
     steps: set[tuple[int, int]] = set()
+    unweighable: set[int] = set()  # states with a weight that is not a number
     for src, weight, dst in prob_edges:
         if src not in states or dst not in states:
             problems.append(f"probabilistic edge ({src},{weight},{dst}) uses unknown state")
@@ -215,14 +218,17 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
         if (src, dst) in steps:
             problems.append(f"weighted tuple of state {src} names successor {dst} twice")
         steps.add((src, dst))
-        if not (0 < weight <= 1):
+        if type(weight) not in (int, Fraction):  # not bool, not float
+            problems.append(f"weight {weight!r} of edge ({src},{dst}) is not an int or a Fraction")
+            unweighable.add(src)
+        elif not (0 < weight <= 1):
             problems.append(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
 
     for state, kind in pts.kinds.items():
         pairs = pts.weighted.get(state)
         if kind == "p" and not pairs:
             problems.append(f"state {state} is probabilistic but has no outgoing edges")
-        elif kind == "p" and (total := sum(weight for weight, _ in pairs)) != 1:
+        elif kind == "p" and state not in unweighable and (total := sum(w for w, _ in pairs)) != 1:
             problems.append(f"weights leaving state {state} sum to {total}, not 1")
 
     if not problems and not pts.is_acyclic:

@@ -15,17 +15,17 @@ The rules, with p -a-> p' for action steps and p ~w~> p' for weighted steps:
     p|[]|q (weighted steps as for ||)
 
 The synchronization set of |[]| is the set of actions occurring syntactically
-in both operands, fixed when the composition is first built and kept while
-the operands evolve.  A state is probabilistic exactly when it has weighted
-steps; equal subterms share one graph state.
+in both operands, fixed when the composition is first built (in its `sync`
+slot, which `terms.pin` fills in place: compiling rebuilds no term) and kept
+while the operands evolve.  A state is probabilistic exactly when it has
+weighted steps; equal subterms share one graph state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .pts import OMEGA, Pts
+from .pts import Pts
 from .terms import (
     EMPTY_ORDER,
     ExternalChoice,
@@ -35,72 +35,10 @@ from .terms import (
     SharedPar,
     SyncPar,
     Term,
-    _reduce,
-    _set,
-    _stored_hash,
     alphabet,
     children,
-    rebuild,
+    pin,
 )
-
-
-@dataclass(frozen=True, init=False)
-class _Shared:
-    """SharedPar with its synchronization set pinned at composition time."""
-
-    left: object
-    right: object
-    sync: frozenset[str]
-
-    __slots__ = ("left", "right", "sync", "_hash", "_shared")
-    __hash__ = _stored_hash
-    __reduce__ = _reduce
-
-    def __init__(self, left, right, sync: frozenset[str]):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "sync", sync)
-        _set(self, "_hash", hash((_Shared, left._hash, right._hash, sync)))
-        _set(self, "_shared", 1 + left._shared + right._shared)
-
-
-def _pin_sync_sets(term: Term):
-    """The term with each |[]| pinned to its synchronization set, and the
-    term's alphabet.
-
-    Each |[]| takes its operands' alphabets from this same walk, so a chain
-    of compositions is visited once rather than once per |[]| above it.  A
-    subterm without |[]| is returned as it is, with its alphabet, so the walk
-    descends only along paths that lead to a |[]|.  The walk keeps its own
-    stack, so any depth is fine.
-    """
-    done: list[tuple[Term, frozenset[str]]] = []
-    stack = [(term, -1)]  # (node, -1) to visit; (node, n) to rebuild from the last n done
-    while stack:
-        node, count = stack.pop()
-        if count > 0:
-            pinned = done[-count:]
-            del done[-count:]
-            if isinstance(node, SharedPar):
-                (left, left_labels), (right, right_labels) = pinned
-                shared = _Shared(left, right, left_labels & right_labels)
-                done.append((shared, left_labels | right_labels))
-                continue
-            labels: set[str] = set()
-            if isinstance(node, ExternalChoice):
-                labels.update(label for label, _ in node.branches if label != OMEGA)
-            for _, sub_labels in pinned:
-                labels |= sub_labels
-            done.append((rebuild(node, [sub for sub, _ in pinned]), frozenset(labels)))
-        elif isinstance(node, SharedPar) or (
-            isinstance(node, (ExternalChoice, ProbChoice, Priority, SyncPar)) and node._shared
-        ):
-            subs = children(node)
-            stack.append((node, len(subs)))
-            stack += [(sub, -1) for sub in reversed(subs)]
-        else:
-            done.append((node, alphabet(node)))  # alphabet refuses what is not a term
-    return done[0]
 
 
 class _Compiler:
@@ -125,24 +63,17 @@ class _Compiler:
                     out.append((weight, sub))
         elif isinstance(node, Priority):
             out = [(w, Priority(t)) for w, t in self.prob_steps(node.body)]
-        elif isinstance(node, SyncPar):
+        elif isinstance(node, (SyncPar, SharedPar)):
+            if node.__class__ is SharedPar and node.sync is None:
+                pin(node)
             lp, rp = self.prob_steps(node.left), self.prob_steps(node.right)
+            step = SyncPar if node.__class__ is SyncPar else node._step
             if lp and rp:
-                out = [(w * r, SyncPar(lt, rt)) for w, lt in lp for r, rt in rp]
+                out = [(w * r, step(lt, rt)) for w, lt in lp for r, rt in rp]
             elif lp:
-                out = [(w, SyncPar(lt, node.right)) for w, lt in lp]
+                out = [(w, step(lt, node.right)) for w, lt in lp]
             elif rp:
-                out = [(r, SyncPar(node.left, rt)) for r, rt in rp]
-        elif isinstance(node, _Shared):
-            lp, rp = self.prob_steps(node.left), self.prob_steps(node.right)
-            if lp and rp:
-                out = [
-                    (w * r, _Shared(lt, rt, node.sync)) for w, lt in lp for r, rt in rp
-                ]
-            elif lp:
-                out = [(w, _Shared(lt, node.right, node.sync)) for w, lt in lp]
-            elif rp:
-                out = [(r, _Shared(node.left, rt, node.sync)) for r, rt in rp]
+                out = [(r, step(node.left, rt)) for r, rt in rp]
         result = tuple(out)
         self._prob_cache[node] = result
         return result
@@ -170,19 +101,22 @@ class _Compiler:
                 label: SyncPar(left[label], right[label])
                 for label in left.keys() & right.keys()
             }
-        elif isinstance(node, _Shared):
+        elif isinstance(node, SharedPar):
+            if node.sync is None:
+                pin(node)
             left, right = self.action_steps(node.left), self.action_steps(node.right)
+            sync, step = node.sync, node._step
             for label, target in left.items():
-                if label not in node.sync:
-                    out[label] = _Shared(target, node.right, node.sync)
+                if label not in sync:
+                    out[label] = step(target, node.right)
                 elif label in right:
-                    out[label] = _Shared(target, right[label], node.sync)
+                    out[label] = step(target, right[label])
             for label, target in right.items():
-                if label in node.sync:
+                if label in sync:
                     continue
                 if label in out:
                     raise ValueError(f"both operands of |[]| interleave label {label!r}")
-                out[label] = _Shared(node.left, target, node.sync)
+                out[label] = step(node.left, target)
         self._action_cache[node] = out
         return out
 
@@ -197,9 +131,9 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     to a nondeterministic one, since `prob_steps` flattens nested choices.
     """
     compiler = _Compiler(order)
-    root, labels = _pin_sync_sets(term)
-    ids: dict[object, int] = {root: 0}
-    nodes = [root]
+    labels = pin(term)
+    ids: dict[object, int] = {term: 0}
+    nodes = [term]
     kinds: dict[int, str] = {}
     actions: dict[int, dict[str, int]] = {}
     weighted: dict[int, tuple[tuple[Fraction, int], ...]] = {}

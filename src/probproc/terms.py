@@ -20,7 +20,9 @@ it contains.  The hash is computed from the hashes its subterms stored (a
 probabilistic choice hashes its weights as integer numerator/denominator
 pairs; a choice's key starts with a label or a weight, any other term's with
 its class), so hashing takes constant time at any depth; `_shared` lets a walk
-that only matters around |[]| pass over a subterm without entering it.
+that only matters around |[]| pass over a subterm without entering it.  A |[]|
+also has a `sync` slot for its synchronization set, which `pin` fills once and
+equality compares.
 There is one Empty: `Empty()` returns it, and it compares and hashes by
 identity.  Copying and pickling go through `__reduce__`, which rebuilds a
 term with its constructor: it is validated again, its hash is recomputed in
@@ -41,6 +43,7 @@ from .pts import OMEGA
 Term = Union["Empty", "ExternalChoice", "ProbChoice", "Priority", "SyncPar", "SharedPar"]
 
 _set = object.__setattr__  # fills a slot of a frozen term while it is built
+_new = object.__new__
 
 
 def _stored_hash(term) -> int:
@@ -164,20 +167,52 @@ class SyncPar:
         _set(self, "_shared", left._shared + right._shared)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SharedPar:
+    """Parallel composition synchronizing on `sync`, None until `pin` fills
+    it with the actions both operands mention (Hoare's alphabetized
+    parallel): the only mutation of a term, and a pure function of the
+    operands.  Compositions stepped to (`_step`) and copies keep their
+    source's set.  Equality compares operands and set, pinning an unfilled
+    side first; the hash is the operands' alone."""
+
     left: Term
     right: Term
 
-    __slots__ = ("left", "right", "_hash", "_shared")
+    __slots__ = ("left", "right", "sync", "_hash", "_shared")
     __hash__ = _stored_hash
-    __reduce__ = _reduce
 
     def __init__(self, left: Term, right: Term):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "sync", None)
         _set(self, "_hash", hash((SharedPar, left._hash, right._hash)))
         _set(self, "_shared", 1 + left._shared + right._shared)
+
+    def __eq__(self, other):
+        if other.__class__ is not SharedPar:
+            return NotImplemented
+        if self.sync is None:
+            pin(self)
+        if other.sync is None:
+            pin(other)
+        return (self.left, self.right, self.sync) == (other.left, other.right, other.sync)
+
+    def __reduce__(self):  # a stepped composition's set is not its operands'
+        return SharedPar, (self.left, self.right), self.sync
+
+    def __setstate__(self, sync: frozenset[str]) -> None:
+        _set(self, "sync", sync)
+
+    def _step(self, left: Term, right: Term) -> SharedPar:
+        """The composition the compiler steps to: new operands, this set."""
+        node = _new(SharedPar)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _set(node, "sync", self.sync)
+        _set(node, "_hash", hash((SharedPar, left._hash, right._hash)))
+        _set(node, "_shared", 1 + left._shared + right._shared)
+        return node
 
 
 def prefix(label: str, body: Term | None = None) -> ExternalChoice:
@@ -211,16 +246,11 @@ def map_children(term: Term, fn: Callable[[Term], object]) -> Term:
     """
     subs = children(term)
     new = [fn(sub) for sub in subs]
-    return term if all(map(is_, new, subs)) else rebuild(term, new)
-
-
-def rebuild(term: Term, subs: list) -> Term:
-    """The same constructor over new immediate subterms, in `children` order."""
+    if all(map(is_, new, subs)):
+        return term
     if isinstance(term, (ExternalChoice, ProbChoice)):
-        return type(term)(tuple((key, new) for (key, _), new in zip(term.branches, subs)))
-    if isinstance(term, Priority):
-        return Priority(*subs)
-    return type(term)(*subs)  # SyncPar or SharedPar
+        return type(term)(tuple((key, sub) for (key, _), sub in zip(term.branches, new)))
+    return type(term)(*new)  # Priority, SyncPar or SharedPar
 
 
 def subterms(term: Term) -> Iterator[Term]:
@@ -263,6 +293,36 @@ def alphabet(term: Term) -> frozenset[str]:
             raise TypeError(f"not a term: {node!r}")
     labels.discard(OMEGA)
     return frozenset(labels)
+
+
+def pin(term: Term) -> frozenset[str]:
+    """Fill the `sync` slot of every unfilled |[]| in the term, in place and
+    bottom up, and return the term's alphabet.  Any depth is fine.
+
+    Each composition takes its operands' alphabets from this walk, held on
+    its own stack, each node merging the smaller sets into the largest.  A
+    subterm without |[]| (by its count) or a filled |[]| is not entered."""
+    done: list[set[str]] = []
+    stack = [(term, 0)]  # (node, 0) to visit; (node, n) to finish from the last n done
+    while stack:
+        node, count = stack.pop()
+        if count:
+            subs = done[-count:]
+            del done[-count:]
+            if isinstance(node, SharedPar):
+                _set(node, "sync", frozenset(subs[0] & subs[1]))
+            labels = max(subs, key=len)
+            labels.update(*subs)  # updating a set with itself does nothing
+            if isinstance(node, ExternalChoice):
+                labels.update(label for label, _ in node.branches if label != OMEGA)
+            done.append(labels)
+        elif getattr(node, "_shared", 0) and getattr(node, "sync", None) is None:
+            subs = children(node)  # refuses what is not a term
+            stack.append((node, len(subs)))
+            stack += [(sub, 0) for sub in reversed(subs)]
+        else:
+            done.append(set(alphabet(node)))  # alphabet refuses what is not a term
+    return frozenset(done[0])
 
 
 def has_prob_choice(term: Term) -> bool:

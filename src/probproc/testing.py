@@ -49,8 +49,6 @@ class _Outcomes:
     A test is stepped by `steps`, whose `prob_steps(node)` lists weighted
     successors and `action_steps(node)` maps labels to successors: a
     `semantics._Compiler` steps test terms, `_GraphSteps` a compiled test.
-    Terms are stepped as written, so they must not use |[]|, whose sync sets
-    only `compile_term` pins; enumerated and synthesized tests never do.
 
     Running synchronizes the process state s with the test node t.  The
     cases are tried in this order: t offers success; s is probabilistic,
@@ -68,7 +66,7 @@ class _Outcomes:
         self.steps = steps
         self._settled = process._settled
         self._memo: dict[tuple[int, object], RationalFn] = {}
-        self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], Fraction]] = {}
+        self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], int, int]] = {}
 
     def of(self, test) -> RationalFn:
         """The outcome of running the test from the process root."""
@@ -76,12 +74,12 @@ class _Outcomes:
 
     def unit_step(
         self, state: int, labels: tuple[str, ...]
-    ) -> tuple[dict[str, dict[int, RationalFn]], Fraction]:
+    ) -> tuple[dict[str, dict[int, RationalFn]], int, int]:
         """One step of a test over the labels from the state: per label b,
         each successor by b with the sum of weight * share of b over the
         nondeterministic states leading to it; and the total weight of the
-        states offering some label, which is the sum of all coefficients
-        because each state's shares add up to one."""
+        states offering some label, as numerator and denominator, which is
+        the sum of all coefficients because each state's shares add to one."""
         key = (state, labels)
         out = self._unit_steps.get(key)
         if out is None:
@@ -95,7 +93,7 @@ class _Outcomes:
                 if not common:
                     continue
                 total += weight
-                scaled = _scalar(Fraction(weight, den))
+                scaled = _scalar(weight, den)
                 for label, share in zip(common, _share(common)):
                     successors = step.setdefault(label, {})
                     target = offered[label]
@@ -103,14 +101,14 @@ class _Outcomes:
                     if target in successors:
                         coefficient = successors[target] + coefficient
                     successors[target] = coefficient
-            out = self._unit_steps[key] = (step, Fraction(total, den))
+            out = self._unit_steps[key] = (step, total, den)
         return out
 
     def mixed(self, weights: list[tuple[int, int]], test) -> RationalFn:
         """The sum of weight * outcome(state, test) over the weighted states."""
         out = _ZERO
         for weight, state in weights:
-            out = out + _scalar(weight) * self._at(state, test)
+            out = out + _scalar(weight, 1) * self._at(state, test)
         return out
 
     def _at(self, s: int, t) -> RationalFn:
@@ -127,10 +125,10 @@ class _Outcomes:
         if process.kinds[s] == "p":
             den, pairs = self._settled[s]
             for weight, settled in pairs:
-                out = out + _scalar(Fraction(weight, den)) * self._at(settled, t)
+                out = out + _scalar(weight, den) * self._at(settled, t)
         elif weighted:
             for weight, target in weighted:
-                out = out + _scalar(weight) * self._at(s, target)
+                out = out + _scalar(weight.numerator, weight.denominator) * self._at(s, target)
         else:
             offered = process.actions[s]
             common = tuple(sorted(offered.keys() & actions.keys()))
@@ -140,7 +138,8 @@ class _Outcomes:
         return out
 
 
-_scalar = lru_cache(maxsize=1024)(RationalFn.scalar)
+# The constant n / d, cached by ints, which hash faster than a Fraction.
+_scalar = lru_cache(maxsize=1024)(lambda n, d: RationalFn.scalar(Fraction(n, d)))
 
 
 @lru_cache(maxsize=1024)
@@ -364,10 +363,10 @@ def _blocked(coefficients: dict, outcomes: _Outcomes, labels: tuple[str, ...]) -
     test over the labels blocks."""
     out = _ZERO
     for state, coefficient in coefficients.items():
-        blocked = 1 - outcomes.unit_step(state, labels)[1]
-        if blocked:
-            if blocked != 1:
-                coefficient = coefficient * _scalar(blocked)
+        _, total, den = outcomes.unit_step(state, labels)
+        if total != den:
+            if total:
+                coefficient = coefficient * _scalar(den - total, den)
             out = out + coefficient
     return out
 

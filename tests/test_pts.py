@@ -201,6 +201,14 @@ _MALFORMED = {
         _one_weight(F(3, 2)),
         ["weight 3/2 of edge (0,1) is outside (0,1]", "weights leaving state 0 sum to 3/2, not 1"],
     ),
+    "a weight that is not a number": (
+        _one_weight("1/2"),
+        ["weight '1/2' of edge (0,1) is not an int or a Fraction"],
+    ),
+    "an inexact weight": (
+        _one_weight(1.0),
+        ["weight 1.0 of edge (0,1) is not an int or a Fraction"],
+    ),
     "an action step leaving a probabilistic state": (
         _maps({0: "p", 1: "n"}, {0: {"a": 1}}, {0: ((F(1), 1),)}),
         ["action edge leaves probabilistic state 0"],

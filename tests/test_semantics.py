@@ -30,8 +30,9 @@ from probproc.harness import (
 from probproc.parser import parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA, Pts, to_dot, to_json, validate
 from probproc.readytrace import ready_trace_equivalent
-from probproc.semantics import _pin_sync_sets, _Shared, compile_term, composition_warnings
+from probproc.semantics import _Compiler, compile_term, composition_warnings
 from probproc.terms import (
+    EMPTY_ORDER,
     Empty,
     ExternalChoice,
     Priority,
@@ -40,6 +41,7 @@ from probproc.terms import (
     SyncPar,
     alphabet,
     children,
+    pin,
     prefix,
     subterms,
 )
@@ -252,24 +254,33 @@ def test_compiled_graphs_are_pinned():
     )
 
 
-def test_pinning_sync_sets_rebuilds_only_above_a_shared_parallel():
+def _refused(*args):
+    raise AssertionError("no term is rebuilt")
+
+
+def test_pinning_fills_sync_sets_in_place(monkeypatch):
+    monkeypatch.setattr(terms, "map_children", _refused)
     free = parse_term("p{1/2:a->b, 1/2:prio(c [] d)} || (a->c [] b)")
-    assert _pin_sync_sets(free)[0] is free
     left, right = parse_term("a->b"), parse_term("b [] c->d")
-    term = SyncPar(free, Priority(SharedPar(left, right)))
-    pinned, _ = _pin_sync_sets(term)
-    assert pinned is not term and pinned.left is free
-    shared = pinned.right.body
-    assert isinstance(shared, _Shared)
+    shared = SharedPar(left, right)
+    term = SyncPar(free, Priority(shared))
+    assert shared.sync is None
+    assert pin(term) == alphabet(term)
+    assert term.left is free and term.right.body is shared
     assert shared.left is left and shared.right is right
     assert shared.sync == frozenset({"b"})
+    # compiling a raw term pins it the same way, and rebuilds nothing either
+    raw = SharedPar(parse_term("a->b"), parse_term("b [] c->d"))
+    assert compile_term(SyncPar(free, Priority(raw))).alphabet == alphabet(term)
+    assert raw.sync == frozenset({"b"})
 
 
 def test_pinning_a_chain_visits_each_node_once(monkeypatch):
     """Each |[]| takes its operands' alphabets from the walk below it rather
     than walking them again, so a chain of n compositions costs O(n) node
-    visits, not O(n^2).  A visit is a call of `children` (which every
-    generic traversal makes) or of `rebuild`."""
+    visits, not O(n^2).  A visit is a call of `children`, by which the walk
+    enters a node, or of `alphabet`, by which it reads a subterm it does not
+    enter; no node is rebuilt."""
     chain = prefix("a0")
     for i in range(1, 300):
         chain = SharedPar(chain, prefix(f"a{i}", prefix(f"a{i - 1}")))
@@ -284,14 +295,48 @@ def test_pinning_a_chain_visits_each_node_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(terms, "children", counted(terms.children))
-    monkeypatch.setattr(semantics, "children", counted(terms.children))
-    monkeypatch.setattr(semantics, "rebuild", counted(terms.rebuild))
-    pinned, _ = _pin_sync_sets(chain)
+    with monkeypatch.context() as patch:
+        patch.setattr(terms, "children", counted(terms.children))
+        patch.setattr(terms, "alphabet", counted(terms.alphabet))
+        patch.setattr(terms, "map_children", _refused)
+        labels = pin(chain)
     assert visits <= nodes
+    assert labels == alphabet(chain)
+    node = chain
     for i in reversed(range(1, 300)):
-        assert pinned.sync == frozenset({f"a{i - 1}"})
-        pinned = pinned.left
+        assert node.sync == frozenset({f"a{i - 1}"})
+        node = node.left
+
+
+def test_compiled_states_keep_their_identity_under_in_place_pinning():
+    # The composition stepped to by c and the one written under b have the
+    # same operands and sync set {d}: one state.
+    graph = compiled("a->((c->d) |[]| d) [] b->(d |[]| d)")
+    assert len(graph.kinds) == 4
+    assert graph.actions[1]["c"] == graph.actions[0]["b"]
+    early = "p{{1/2:(h{0}->p{0}->0 [] t{0}->0), 1/2:(h{0}->0 [] t{0}->p{0}->0)}}"
+    late = "h{0}->p{{1/2:p{0}->0, 1/2:0}} [] t{0}->p{{1/2:0, 1/2:p{0}->0}}"
+    for k, early_states, late_states in ((2, 17, 21), (3, 65, 81), (4, 257, 297)):
+        for machine, states in ((early, early_states), (late, late_states)):
+            text = " |[]| ".join(f"({machine.format(i)})" for i in range(k))
+            assert len(compiled(text).kinds) == states
+
+
+def test_a_shared_parallel_equals_a_fresh_parse_of_its_text():
+    texts = [
+        "(a->b) |[]| (b [] c->d)",
+        "a->((c->d) |[]| d) [] b->(d |[]| d)",
+        "p{1/3:(a->b) |[]| b, 2/3:prio(a |[]| (c || a))} |[]| (a->c)",
+    ]
+    for text in texts:
+        for compile_first, compile_second in ((False, False), (True, False), (True, True)):
+            first, second = parse_term(text), parse_term(text)
+            if compile_first:
+                compile_term(first)
+            if compile_second:
+                compile_term(second)
+            assert first == second and second == first
+            assert hash(first) == hash(second)
 
 
 def test_pinning_survives_deep_chains():
@@ -402,10 +447,11 @@ def test_fast_paths_match_their_references_on_a_seeded_corpus():
         for node in subterms(term):
             assert node._shared == sum(isinstance(sub, SharedPar) for sub in subterms(node))
             assert alphabet(node) == _generated_alphabet(node)
-            assert _pin_sync_sets(node)[1] == alphabet(node)
-            if not node._shared:
-                free += 1
-                assert _pin_sync_sets(node)[0] is node
+            assert pin(node) == alphabet(node)
+            if isinstance(node, SharedPar):
+                sync = _generated_alphabet(node.left) & _generated_alphabet(node.right)
+                assert node.sync == sync
+            free += not node._shared
         warnings = composition_warnings(term)
         assert warnings == _unpruned_composition_warnings(term)
         warned += bool(warnings)
@@ -462,11 +508,24 @@ def _round_trips(term):
 
 def test_terms_copy_and_pickle_through_their_constructors():
     for term in _fast_path_corpus():
-        for original in (term, _pin_sync_sets(term)[0]):
-            for restored in _round_trips(original):
-                assert restored == original and hash(restored) == hash(original)
+        unfilled = list(_round_trips(term))  # taken before `==` pins the term
+        pin(term)
+        for restored in unfilled + list(_round_trips(term)):
+            assert restored == term and hash(restored) == hash(term)
     for restored in _round_trips(Empty()):
         assert restored is Empty()
+
+
+def test_a_stepped_composition_keeps_its_sync_set_through_copies():
+    term = parse_term("(a->c) |[]| (a->b)")
+    stepped = _Compiler(EMPTY_ORDER).action_steps(term)["a"]
+    assert stepped.sync == frozenset({"a"})
+    written = parse_term("c |[]| b")  # pins to the empty set
+    assert stepped != written and hash(stepped) == hash(written)
+    for restored in _round_trips(stepped):
+        assert restored.sync == frozenset({"a"})
+        assert restored == stepped and hash(restored) == hash(stepped)
+        assert restored != written
 
 
 def test_a_pickled_term_is_rehashed_where_it_is_loaded():

@@ -15,7 +15,7 @@ from probproc.fixtures import COIN_MACHINE_EARLY, GAME_GUESSER, GAME_TOSSER
 from probproc.harness import GenConfig, equivalent_pair, random_term
 from probproc.parser import ParseError, parse_priority, parse_term, parse_test
 from probproc.pts import OMEGA
-from probproc.semantics import _pin_sync_sets, compile_term
+from probproc.semantics import compile_term
 from probproc.terms import (
     Empty,
     ExternalChoice,
@@ -27,6 +27,7 @@ from probproc.terms import (
     alphabet,
     has_prob_choice,
     map_children,
+    pin,
     prefix,
     render,
     subterms,
@@ -161,7 +162,9 @@ def test_shared_alphabet_of_game_players():
     # |[]| synchronizes on the actions occurring in both operands, the set
     # that compiling pins at each composition.
     def sync(left, right):
-        return _pin_sync_sets(SharedPar(left, right))[0].sync
+        composition = SharedPar(left, right)
+        pin(composition)
+        return composition.sync
 
     tosser, guesser = parse_term(GAME_TOSSER), parse_term(GAME_GUESSER)
     assert sync(tosser, guesser) == frozenset({"wrt", "rev", "head", "tail"})

@@ -353,6 +353,25 @@ def test_tests_may_use_every_operator():
     assert mixed == half
 
 
+def test_the_term_evaluator_steps_a_raw_shared_parallel():
+    # The evaluator pins a |[]| when it first steps it, as compiling does, so
+    # a test term written with |[]| scores what its compiled graph scores.
+    process = compile_term(parse_term("a->b"))
+    test = parse_test("(a->w) |[]| b")
+    assert test.sync is None
+    outcome = _Outcomes(process, _Compiler(EMPTY_ORDER)).of(test)
+    assert outcome == apply_test(process, compile_term(parse_test("(a->w) |[]| b")))
+    assert outcome == RationalFn.one()
+    for process_text, test_text in (
+        ("a->b->0 [] c", "(a->b->w) |[]| (c [] a->b)"),
+        ("p{1/2:a->c, 1/2:b}", "p{1/3:(a->w |[]| c), 2/3:prio(b->w)} |[]| (a [] b)"),
+        ("a->(b->0 |[]| c)", "a->((b->w [] c) |[]| (c->w [] b))"),
+    ):
+        process = compile_term(parse_term(process_text))
+        stepped = _Outcomes(process, _Compiler(EMPTY_ORDER)).of(parse_test(test_text))
+        assert stepped == apply_test(process, compile_term(parse_test(test_text)))
+
+
 def test_synthesis_agrees_with_ready_trace_verdicts_on_random_pairs():
     rng = random.Random(11)
     cfg = GenConfig(alphabet_size=2, max_depth=3, seed=11)
