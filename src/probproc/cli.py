@@ -11,7 +11,8 @@
 P, Q and T are inline terms in the concrete syntax, or @FILE to read the
 term from a file.  All numbers print as exact fractions.  Exit status:
 0 equivalent/success, 1 distinguished (or some check failed), 2 bad input
-(a usage error included) or an internal error, reported on one line.
+(a usage error and input nested too deeply included) or an internal error,
+reported on one line.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, CyclicGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except Exception as exc:
         # Exit 1 means "distinguished", so an internal failure must not

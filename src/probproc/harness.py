@@ -8,7 +8,8 @@ suites check, at desk scale:
     agree on every sampled pair, and every distinguished pair also yields a
     synthesized, verified, probability-free witness test;
   * congruence: equivalent processes stay equivalent in every sampled
-    context;
+    context (a one-hole context is a function that plugs a term into its
+    hole; all of its draws happen when it is built, none when it plugs);
   * distributivity: probabilistic choice commutes with prefixed external
     choice and with arbitrary contexts;
   * probability axioms: menu distributions are probability distributions,
@@ -25,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from typing import Callable
 
 from .fixtures import (
     COIN_MACHINE_EARLY,
@@ -52,7 +54,6 @@ from .terms import (
     SyncPar,
     Term,
     has_prob_choice,
-    map_children,
     render,
 )
 from .testing import (
@@ -167,53 +168,49 @@ def random_priority_order(cfg: GenConfig, rng: random.Random) -> PriorityOrder:
     return PriorityOrder(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class _Hole:
-    _hash = 0  # both read by the term constructors around it
-    _shared = 0
+def hole(term: Term) -> Term:
+    """The empty context: the term itself."""
+    return term
 
 
-def fill_context(context, replacement: Term) -> Term:
-    """Substitute the process for the unique hole of a context."""
-    if isinstance(context, _Hole):
-        return replacement
-    return map_children(context, lambda sub: fill_context(sub, replacement))
+def random_context(
+    cfg: GenConfig, rng: random.Random, depth: int | None = None
+) -> Callable[[Term], Term]:
+    """A context with a single hole, built from all operators, as the function
+    that plugs a term into the hole.
 
-
-def random_context(cfg: GenConfig, rng: random.Random, depth: int | None = None):
-    """A term with a single hole, built from all operators."""
+    Every random draw happens here, when the context is built, so plugging
+    draws nothing.  A plug builds only the nodes on the path to the hole and
+    shares every other subterm among all its results.
+    """
     depth = cfg.max_depth if depth is None else depth
     if depth <= 0:
-        return _Hole()
+        return hole
     kind = rng.choices(
         ("hole", "choice", "prob", "prio", "sync", "shared"),
         weights=(2, 3, 2, 1, 2, 2),
     )[0]
     if kind == "hole":
-        return _Hole()
+        return hole
     if kind == "prio":
-        return Priority(random_context(cfg, rng, depth - 1))
+        inner = random_context(cfg, rng, depth - 1)
+        return lambda term: Priority(inner(term))
     if kind in ("sync", "shared"):
-        hole_side = random_context(cfg, rng, depth - 1)
+        inner = random_context(cfg, rng, depth - 1)
         other = _random_term(cfg, rng, depth - 1)
         cls = SyncPar if kind == "sync" else SharedPar
-        return cls(hole_side, other) if rng.random() < 0.5 else cls(other, hole_side)
+        if rng.random() < 0.5:
+            return lambda term: cls(inner(term), other)
+        return lambda term: cls(other, inner(term))
     if kind == "choice":
         cls, keys = ExternalChoice, _random_labels(rng, cfg.labels)
     else:
         cls, keys = ProbChoice, _random_weights(rng)
     slot = rng.randrange(len(keys))
-    return cls(
-        tuple(
-            (
-                key,
-                random_context(cfg, rng, depth - 1)
-                if i == slot
-                else _random_term(cfg, rng, depth - 1),
-            )
-            for i, key in enumerate(keys)
-        )
-    )
+    before = tuple((key, _random_term(cfg, rng, depth - 1)) for key in keys[:slot])
+    inner = random_context(cfg, rng, depth - 1)
+    after = tuple((key, _random_term(cfg, rng, depth - 1)) for key in keys[slot + 1 :])
+    return lambda term: cls((*before, (keys[slot], inner(term)), *after))
 
 
 def prefix_distribution_pair(cfg: GenConfig, rng: random.Random) -> tuple[Term, Term]:
@@ -271,11 +268,8 @@ def context_distribution_pair(cfg: GenConfig, rng: random.Random) -> tuple[Term,
     context = random_context(cfg, rng, depth=rng.randint(1, max(1, cfg.max_depth - 1)))
     weights = _random_weights(rng)
     pieces = _aligned_pieces(cfg, rng, len(weights), max(0, cfg.max_depth - 2))
-    inner = ProbChoice(tuple(zip(weights, pieces)))
-    left = fill_context(context, inner)
-    right = ProbChoice(
-        tuple((w, fill_context(context, piece)) for w, piece in zip(weights, pieces))
-    )
+    left = context(ProbChoice(tuple(zip(weights, pieces))))
+    right = ProbChoice(tuple((w, context(piece)) for w, piece in zip(weights, pieces)))
     return left, right
 
 
@@ -442,19 +436,15 @@ def check_congruence(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
             if index == 0:
                 left = parse_term(PREFIX_DISTRIB_LEFT)
                 right = parse_term(PREFIX_DISTRIB_RIGHT)
-                context = SharedPar(_Hole(), parse_term(PREFIX_DISTRIB_PEER))
+                peer = parse_term(PREFIX_DISTRIB_PEER)
+                context = lambda term: SharedPar(term, peer)
                 order = EMPTY_ORDER
             else:
                 left, right = equivalent_pair(cfg, sub)
                 depth = sub.randint(0, cfg.max_depth - 1)
                 context = random_context(cfg, sub, depth)
                 order = random_priority_order(cfg, sub)
-            yield _equivalence(
-                fill_context(context, left),
-                fill_context(context, right),
-                order,
-                {"sample_seed": seed},
-            )
+            yield _equivalence(context(left), context(right), order, {"sample_seed": seed})
 
     return _report("congruence", cfg, outcomes())
 

@@ -195,7 +195,21 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     if OMEGA in pts.alphabet:
         problems.append(f"alphabet must not contain the reserved label {OMEGA!r}")
 
-    action_edges, prob_edges = _edges(pts)
+    # A map of the wrong shape is one problem, and the edge, range and sum
+    # checks pass over its state.
+    action_edges, prob_edges, unsummable = [], [], set()
+    for src, moves in pts.actions.items():
+        if not isinstance(moves, Mapping):
+            problems.append(f"action map of state {src} is not a map: {moves!r}")
+            unsummable.add(src)
+        else:
+            action_edges += [(src, label, dst) for label, dst in moves.items()]
+    for src, pairs in pts.weighted.items():
+        if type(pairs) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in pairs):
+            problems.append(f"weighted tuple of state {src} is not a tuple of pairs: {pairs!r}")
+            unsummable.add(src)
+        elif src not in unsummable:
+            prob_edges += [(src, weight, dst) for weight, dst in pairs]
     for src, label, dst in action_edges:
         if src not in states or dst not in states:
             problems.append(f"action edge ({src},{label},{dst}) uses unknown state")
@@ -206,7 +220,6 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
             problems.append(f"label {label!r} is not in the alphabet")
 
     steps: set[tuple[int, int]] = set()
-    unweighable: set[int] = set()  # states with a weight that is not a number
     for src, weight, dst in prob_edges:
         if src not in states or dst not in states:
             problems.append(f"probabilistic edge ({src},{weight},{dst}) uses unknown state")
@@ -220,15 +233,17 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
         steps.add((src, dst))
         if type(weight) not in (int, Fraction):  # not bool, not float
             problems.append(f"weight {weight!r} of edge ({src},{dst}) is not an int or a Fraction")
-            unweighable.add(src)
+            unsummable.add(src)
         elif not (0 < weight <= 1):
             problems.append(f"weight {weight} of edge ({src},{dst}) is outside (0,1]")
 
     for state, kind in pts.kinds.items():
         pairs = pts.weighted.get(state)
-        if kind == "p" and not pairs:
+        if kind != "p" or state in unsummable:
+            continue
+        if not pairs:
             problems.append(f"state {state} is probabilistic but has no outgoing edges")
-        elif kind == "p" and state not in unweighable and (total := sum(w for w, _ in pairs)) != 1:
+        elif (total := sum(w for w, _ in pairs)) != 1:
             problems.append(f"weights leaving state {state} sum to {total}, not 1")
 
     if not problems and not pts.is_acyclic:

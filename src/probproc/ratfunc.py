@@ -105,7 +105,8 @@ class RationalFn:
     """A quotient of two exactly represented multivariate polynomials.
 
     Values are immutable; all operators return normalized instances, an
-    operand itself when the other is zero in a sum or one in a product.
+    operand itself when the other is zero in a sum or one in a product, and
+    a zero factor itself as a product.
     Equality (==) is semantic equality as functions on positive arguments.
     """
 
@@ -153,7 +154,7 @@ class RationalFn:
 
     def __mul__(self, other: RationalFn) -> RationalFn:
         if not self.num or not other.num:
-            return RationalFn.zero()
+            return other if self.num else self
         # A normalized function equal to one has num == den == 1.
         if other.num == other.den:
             return self

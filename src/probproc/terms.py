@@ -35,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import is_
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .pts import OMEGA
 
@@ -236,21 +235,6 @@ def children(term: Term) -> list[Term]:
     if isinstance(term, Empty):
         return []
     raise TypeError(f"not a term: {term!r}")
-
-
-def map_children(term: Term, fn: Callable[[Term], object]) -> Term:
-    """The same constructor rebuilt with `fn` applied to each immediate subterm.
-
-    When `fn` returns every subterm itself, the term itself is returned, so a
-    rewrite rebuilds only the nodes above the subterms it changes.
-    """
-    subs = children(term)
-    new = [fn(sub) for sub in subs]
-    if all(map(is_, new, subs)):
-        return term
-    if isinstance(term, (ExternalChoice, ProbChoice)):
-        return type(term)(tuple((key, sub) for (key, _), sub in zip(term.branches, new)))
-    return type(term)(*new)  # Priority, SyncPar or SharedPar
 
 
 def subterms(term: Term) -> Iterator[Term]:

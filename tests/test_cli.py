@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import probproc
+from probproc import cli
 from probproc.cli import main
 from probproc.fixtures import (
     COIN_MACHINE_EARLY,
@@ -193,10 +194,13 @@ def test_unreadable_weight_is_a_positioned_parse_error(capsys):
     assert err == "error: weight '²' is not a decimal number (line 1, column 3)\n"
 
 
-def test_internal_error_exits_2_with_one_line(capsys):
+def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
     # Exit 1 would claim the two operands were distinguished.
-    chain = "a->" * 600 + "0"
-    code, out, err = run_cli(capsys, "equiv", chain, chain)
+    def broken(left, right):
+        raise RuntimeError("a fault")
+
+    monkeypatch.setattr(cli, "ready_trace_equivalent", broken)
+    code, out, err = run_cli(capsys, "equiv", "a", "a")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -226,6 +230,31 @@ def test_deep_prefix_chains_get_answers_from_every_command():
             env={**os.environ, "PYTHONPATH": src},
         )
         assert (argv[0], done.returncode, done.stderr) == (argv[0], code, "")
+
+
+def test_over_deep_input_is_refused_in_one_line():
+    # The parser, and the compiler on nested p{}, still recurse: input nested
+    # past the interpreter's limit is refused as bad input.
+    src = str(Path(probproc.__file__).resolve().parents[1])
+    commands = [
+        ["equiv", "a->" * 600 + "0", "a->" * 600 + "0"],
+        ["equiv", "(" * 600 + "a" + ")" * 600, "a"],
+        ["compile", "p{1:" * 400 + "a" + "}" * 400],
+        ["res", "a", "a->" * 700 + "w"],
+    ]
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "probproc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (argv[0], done.returncode, done.stdout, done.stderr) == (
+            argv[0],
+            2,
+            "",
+            "error: input nests too deeply\n",
+        )
 
 
 def test_equiv_answers_a_deep_chain_above_a_shared_composition():

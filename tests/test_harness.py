@@ -17,7 +17,7 @@ from probproc.harness import (
     check_probability_axioms,
     check_symbolic_numeric,
     equivalent_pair,
-    fill_context,
+    hole,
     prefix_distribution_pair,
     random_context,
     random_priority_order,
@@ -30,7 +30,7 @@ from probproc.pts import validate
 from probproc.ratfunc import RationalFn
 from probproc.readytrace import ready_trace_equivalent
 from probproc.semantics import compile_term
-from probproc.terms import Empty, ProbChoice, render
+from probproc.terms import Empty, ProbChoice, children, prefix, render, subterms
 # Renamed so that pytest does not take it for a test class.
 from probproc.testing import TestVerdict as Verdict
 
@@ -66,27 +66,37 @@ def test_depth_one_terms_stay_on_the_grammar_floor():
 
 
 def test_random_contexts_have_one_hole():
-    from probproc.harness import _Hole
-
-    def count_holes(node) -> int:
-        if isinstance(node, _Hole):
-            return 1
-        if hasattr(node, "branches"):
-            return sum(count_holes(sub) for _, sub in node.branches)
-        if hasattr(node, "body"):
-            return count_holes(node.body)
-        if hasattr(node, "left"):
-            return count_holes(node.left) + count_holes(node.right)
-        return 0
-
+    marker = prefix("z")  # a label outside the pool
     rng = random.Random(37)
     cfg = GenConfig(alphabet_size=2, max_depth=3, seed=37)
     for _ in range(200):
         context = random_context(cfg, rng)
-        assert count_holes(context) == 1
-        plugged = fill_context(context, Empty())
-        assert count_holes(plugged) == 0
-        assert validate(compile_term(plugged)) == []
+        assert sum(node == marker for node in subterms(context(marker))) == 1
+        assert validate(compile_term(context(Empty()))) == []
+
+
+def test_contexts_draw_when_built_and_plug_along_the_path_to_the_hole():
+    first, second = prefix("y"), prefix("z", prefix("y"))
+    rng = random.Random(59)
+    for cfg in (GenConfig(2, 3, seed=59), GenConfig(4, 4, seed=61)):
+        for _ in range(200):
+            context = random_context(cfg, rng)
+            state = rng.getstate()
+            plugs = [context(first), context(second)]
+            plugs += [context(prefix("z", prefix("y"))), context(prefix("y"))]
+            assert rng.getstate() == state
+            assert plugs[0] == plugs[3] and plugs[1] == plugs[2]
+            # Below each node on the path to the hole, every sibling of the
+            # path is one object in both plugs.
+            left, right = plugs[0], plugs[1]
+            while left is not first:
+                assert type(left) is type(right)
+                apart = [
+                    pair for pair in zip(children(left), children(right)) if pair[0] is not pair[1]
+                ]
+                assert len(apart) == 1
+                left, right = apart[0]
+            assert right is second
 
 
 def test_random_priority_orders_are_strict():
@@ -119,17 +129,12 @@ def test_prefix_pair_has_the_exchange_shape():
 
 
 def test_hole_context_reduces_congruence_to_plain_equivalence():
-    from probproc.harness import _Hole
-
     rng = random.Random(53)
     cfg = GenConfig(alphabet_size=2, max_depth=3, seed=53)
     for _ in range(20):
         left, right = equivalent_pair(cfg, rng)
-        assert fill_context(_Hole(), left) == left
-        verdict = ready_trace_equivalent(
-            compile_term(fill_context(_Hole(), left)),
-            compile_term(fill_context(_Hole(), right)),
-        )
+        assert hole(left) is left
+        verdict = ready_trace_equivalent(compile_term(hole(left)), compile_term(hole(right)))
         assert verdict.equivalent
 
 

@@ -241,6 +241,18 @@ _MALFORMED = {
         Pts(frozenset({"a"}), {0: "n", 1: "n"}, {0: {"a": 1}}, {0: ()}, 0),
         ["state 1 has no action map", "state 1 has no weighted tuple"],
     ),
+    "an action map that is not a map": (
+        _maps({0: "n"}, {0: 5}, {}),
+        ["action map of state 0 is not a map: 5"],
+    ),
+    "a weighted tuple that is not of pairs": (
+        _maps({0: "p", 1: "n"}, {}, {0: (1,)}),
+        ["weighted tuple of state 0 is not a tuple of pairs: (1,)"],
+    ),
+    "a weighted tuple that is not a tuple": (
+        _maps({0: "p", 1: "n"}, {}, {0: 5}),
+        ["weighted tuple of state 0 is not a tuple of pairs: 5"],
+    ),
     "a successor named twice": (
         _maps(
             {0: "p", 1: "n", 2: "n", 3: "n"},

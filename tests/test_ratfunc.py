@@ -223,6 +223,16 @@ def test_product_with_one_returns_the_other_factor(f, g):
 
 
 @given(ratfuncs())
+@settings(max_examples=100, deadline=None)
+def test_product_with_zero_returns_the_zero_factor(f):
+    # The zero operand is what the full product normalizes to.
+    zero = scalar(0)
+    assert zero * f is zero
+    assert f * zero is (f if f.is_zero() else zero)
+    assert structurally_equal(zero, RationalFn(_pmul(f.num, zero.num), _pmul(f.den, zero.den)))
+
+
+@given(ratfuncs())
 @settings(max_examples=150, deadline=None)
 def test_normalization_is_idempotent(f):
     again = RationalFn(f.num, f.den)

@@ -26,7 +26,6 @@ from probproc.terms import (
     SyncPar,
     alphabet,
     has_prob_choice,
-    map_children,
     pin,
     prefix,
     render,
@@ -601,21 +600,3 @@ def test_nesting_depths_that_parse():
         assert isinstance(nested, ProbChoice)
         nested = nested.branches[0][1]
     assert nested == prefix("a")
-
-
-def test_map_children_returns_the_term_when_no_child_changes():
-    a, b = prefix("a"), prefix("b", prefix("c"))
-    terms = [
-        Empty(),
-        ExternalChoice((("a", a), ("b", b))),
-        ProbChoice(((F(1, 3), a), (F(2, 3), b))),
-        Priority(b),
-        SyncPar(a, b),
-        SharedPar(a, b),
-    ]
-    for term in terms:
-        assert map_children(term, lambda sub: sub) is term
-        # an equal but distinct child still counts as a change
-        rebuilt = map_children(term, lambda sub: ExternalChoice(sub.branches))
-        assert rebuilt == term
-        assert isinstance(term, Empty) or rebuilt is not term
