@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .harness import CHECKS, GenConfig, run_checks
 from .parser import ParseError, parse_priority, parse_term, parse_test
 from .pts import CyclicGraphError, to_dot, to_json, validate
 from .readytrace import parse_trace, ready_trace_equivalent, trace_probability
-from .semantics import compile_term, composition_warnings
+from .semantics import compile_pair, compile_term, composition_warnings
 from .terms import EMPTY_ORDER, render
 from .testing import distinguishing_test, apply_test, bounded_testing_equivalent
 
@@ -43,17 +44,22 @@ def _load_order(path: str | None):
     return parse_priority(Path(path).read_text())
 
 
-def _compile_checked(text: str, order, allow_success: bool):
+def _checked_term(text: str, allow_success: bool = False):
+    """The term the text reads as, its composition warnings printed."""
     term = (parse_test if allow_success else parse_term)(_read_input(text))
     for warning in composition_warnings(term):
         print(f"warning: {warning}", file=sys.stderr)
-    return compile_term(term, order)
+    return term
+
+
+def _compile_operands(args):
+    """Both operands from one walk, the left one read and warned on first."""
+    order = _load_order(args.prio)
+    return compile_pair(_checked_term(args.left), _checked_term(args.right), order)
 
 
 def _cmd_equiv(args) -> int:
-    order = _load_order(args.prio)
-    left = _compile_checked(args.left, order, allow_success=False)
-    right = _compile_checked(args.right, order, allow_success=False)
+    left, right = _compile_operands(args)
     if args.method == "testing":
         verdict = bounded_testing_equivalent(
             left, right, depth=args.depth, budget=args.budget
@@ -79,24 +85,22 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_res(args) -> int:
     order = _load_order(args.prio)
-    process = _compile_checked(args.process, order, allow_success=False)
-    test = _compile_checked(args.test, order, allow_success=True)
+    process = compile_term(_checked_term(args.process), order)
+    test = compile_term(_checked_term(args.test, allow_success=True), order)
     print(apply_test(process, test))
     return 0
 
 
 def _cmd_trace_prob(args) -> int:
     order = _load_order(args.prio)
-    process = _compile_checked(args.process, order, allow_success=False)
+    process = compile_term(_checked_term(args.process), order)
     # An undefined probability prints as "undefined".
     print(trace_probability(process, parse_trace(args.trace)))
     return 0
 
 
 def _cmd_distinguish(args) -> int:
-    order = _load_order(args.prio)
-    left = _compile_checked(args.left, order, allow_success=False)
-    right = _compile_checked(args.right, order, allow_success=False)
+    left, right = _compile_operands(args)
     witness = distinguishing_test(left, right)
     if witness is None:
         print("not distinguishable")
@@ -110,7 +114,7 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_compile(args) -> int:
     order = _load_order(args.prio)
-    pts = _compile_checked(args.process, order, allow_success=True)
+    pts = compile_term(_checked_term(args.process, allow_success=True), order)
     problems = validate(pts, allow_success=True)
     for problem in problems:
         print(f"warning: {problem}", file=sys.stderr)
@@ -140,7 +144,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: argparse reads no
+    state of its own from one parse to the next."""
     parser = _ArgumentParser(
         prog="probproc",
         description="workbench for reactive probabilistic processes",
@@ -205,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, CyclicGraphError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
@@ -213,8 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # Exit 1 means "distinguished", so an internal failure must not
         # escape as a traceback with that status.
-        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: internal {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 2
+
+
+def _one_line(exc: Exception) -> str:
+    """The exception's message with each line break made a space."""
+    return " ".join(str(exc).splitlines())
 
 
 if __name__ == "__main__":

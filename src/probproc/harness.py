@@ -41,7 +41,7 @@ from .parser import parse_term
 from .pts import Pts
 from .ratfunc import RationalFn
 from .readytrace import ReadyTrace, UNDEFINED, ready_trace_equivalent, trace_probability
-from .semantics import compile_term
+from .semantics import compile_pair, compile_term
 from .terms import (
     EMPTY_ORDER,
     alphabet,
@@ -337,9 +337,7 @@ def _equivalence(
     left: Term, right: Term, order: PriorityOrder, detail: dict
 ) -> tuple[bool, dict]:
     """The outcome of a sample whose two terms must be equivalent."""
-    verdict = ready_trace_equivalent(
-        compile_term(left, order), compile_term(right, order)
-    )
+    verdict = ready_trace_equivalent(*compile_pair(left, right, order))
     detail.update(left=render(left), right=render(right))
     if not verdict.equivalent:
         detail["error"] = verdict.describe()
@@ -409,8 +407,7 @@ def check_coincidence(cfg: GenConfig, n_samples: int = 200) -> CheckReport:
             else:
                 left_term = _random_term(cfg, sub, cfg.max_depth)
                 right_term = _random_term(cfg, sub, cfg.max_depth)
-            left = compile_term(left_term, order)
-            right = compile_term(right_term, order)
+            left, right = compile_pair(left_term, right_term, order)
             equivalent = ready_trace_equivalent(left, right).equivalent
             detail = {
                 "sample_seed": seed,

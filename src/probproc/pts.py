@@ -182,7 +182,7 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     """
     problems: list[str] = []
     states = set(pts.kinds)
-    if pts.root not in states:
+    if not _is_state(pts.root, states):
         problems.append(f"root {pts.root} is not a state")
     for state, kind in pts.kinds.items():
         if kind not in ("n", "p"):
@@ -211,7 +211,7 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
         elif src not in unsummable:
             prob_edges += [(src, weight, dst) for weight, dst in pairs]
     for src, label, dst in action_edges:
-        if src not in states or dst not in states:
+        if src not in states or not _is_state(dst, states):
             problems.append(f"action edge ({src},{label},{dst}) uses unknown state")
             continue
         if pts.kinds[src] != "n":
@@ -221,7 +221,7 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
 
     steps: set[tuple[int, int]] = set()
     for src, weight, dst in prob_edges:
-        if src not in states or dst not in states:
+        if src not in states or not _is_state(dst, states):
             problems.append(f"probabilistic edge ({src},{weight},{dst}) uses unknown state")
             continue
         if pts.kinds[src] != "p":
@@ -249,6 +249,15 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
     if not problems and not pts.is_acyclic:
         problems.append(_CYCLE)
     return problems
+
+
+def _is_state(value, states: set) -> bool:
+    """Whether the value names a state; a value that cannot be hashed, such
+    as a list, names none."""
+    try:
+        return value in states
+    except TypeError:
+        return False
 
 
 # --- positions and conditioning ---------------------------------------------
@@ -294,7 +303,8 @@ def _settle(kinds, weighted, state: int) -> tuple[int, tuple[tuple[int, int], ..
 
 
 class Positions:
-    """The positions of one graph, interned to ints.
+    """The positions of one graph, interned to ints; the two graphs that
+    `semantics.compile_pair` builds on one set of maps share one table.
 
     A position's key is its distribution, which is also its list of
     branches: the (weight, settled state) pairs sorted by state, with integer

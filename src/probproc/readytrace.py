@@ -10,8 +10,9 @@ is undefined (never zero) when a strict prefix of the trace already has
 probability zero.  Equivalence of two processes is equality of all the
 observation probabilities, each menu's conditioned on the history before
 it, decided over pairs of positions with memoization.  Positions are
-interned per graph with integer weights (`pts.Positions`); fractions are
-built only for the probabilities returned.
+interned per graph with integer weights (`pts.Positions`), in one table for
+the two graphs of `semantics.compile_pair`; fractions are built only for
+the probabilities returned.
 """
 
 from __future__ import annotations
@@ -187,7 +188,14 @@ def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dic
     after the menu and action differs; the first in menu then action
     order.  Walks with an explicit stack, children in that order, so the
     memo holds what the plain recursion would give.
+
+    On one table a position paired with itself is equivalent on sight: one
+    id is one distribution over the same states.  Such a pair is neither
+    expanded nor memoized.
     """
+    same = lt is rt
+    if same and start[0] == start[1]:
+        return None
     if start in memo:
         return memo[start]
     # Frames [pair, remaining steps, step being searched]; the graphs are
@@ -211,6 +219,8 @@ def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dic
             steps = frame[1] = ((menu, action) for menu in ordered for action in sorted(menu))
         for menu, action in steps:
             child = (lt.child(pair[0], menu, action), rt.child(pair[1], menu, action))
+            if same and child[0] == child[1]:
+                continue
             if child not in memo:
                 frame[2] = (menu, action, child)
                 stack.append([child, None, None])

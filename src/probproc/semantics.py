@@ -130,10 +130,32 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     `Pts.valid`: every step leads to a smaller term, and every weighted step
     to a nondeterministic one, since `prob_steps` flattens nested choices.
     """
+    (pts,) = _walk((term,), order)
+    return pts
+
+
+def compile_pair(left: Term, right: Term, order: PriorityOrder = EMPTY_ORDER) -> tuple[Pts, Pts]:
+    """The graphs of two terms from one walk: two roots over one numbering.
+
+    The two graphs hold the same maps, weighted closure and position table,
+    and differ only in root and alphabet, so a subterm the operands share is
+    one state, stepped and conditioned once for both.
+    """
+    left_pts, right_pts = _walk((left, right), order)
+    right_pts.__dict__.update(_settled=left_pts._settled, positions=left_pts.positions)
+    return left_pts, right_pts
+
+
+def _walk(terms: tuple[Term, ...], order: PriorityOrder) -> list[Pts]:
+    """One graph per term, rooted at the term's state in one breadth-first
+    walk from all of them, the roots numbered first in the terms' order."""
     compiler = _Compiler(order)
-    labels = pin(term)
-    ids: dict[object, int] = {term: 0}
-    nodes = [term]
+    alphabets = [pin(term) for term in terms]
+    ids: dict[object, int] = {}
+    nodes: list[object] = []
+    for term in terms:
+        if ids.setdefault(term, len(nodes)) == len(nodes):
+            nodes.append(term)
     kinds: dict[int, str] = {}
     actions: dict[int, dict[str, int]] = {}
     weighted: dict[int, tuple[tuple[Fraction, int], ...]] = {}
@@ -164,7 +186,10 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
                     nodes.append(target)
             kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    return Pts.valid(labels, kinds, actions, weighted, 0)
+    return [
+        Pts.valid(labels, kinds, actions, weighted, ids[term])
+        for labels, term in zip(alphabets, terms)
+    ]
 
 
 def composition_warnings(term: Term) -> list[str]:

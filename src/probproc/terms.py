@@ -12,7 +12,8 @@ Constructors:
 A test is a term that may additionally use the reserved success label "w"
 as a choice branch (its continuation is always Empty).  Ordinary process
 terms must not mention "w".  Structural equality follows the dataclass
-fields, so syntactically equal subterms are interchangeable.
+fields, on an explicit stack (`_equal`), so syntactically equal subterms are
+interchangeable at any depth.
 
 Each composite constructor is one `__init__` that validates its fields and
 stores, beside them, the term's hash and `_shared`, the number of |[]| nodes
@@ -49,6 +50,52 @@ def _stored_hash(term) -> int:
     return term._hash
 
 
+def _equal(term, other) -> bool:
+    """Structural equality, on an explicit stack, so any depth is fine.
+
+    A pair whose stored hashes differ is unequal without entering either,
+    and a pair of one object is equal: it is never pushed, and branch
+    tuples of one object are not entered.  A |[]| pins an unfilled side
+    first and compares the sets too.
+    """
+    if other.__class__ is not term.__class__:
+        return NotImplemented
+    stack = [(term, other)]
+    push = stack.append
+    while stack:
+        a, b = stack.pop()
+        cls = a.__class__
+        if cls is not b.__class__ or a._hash != b._hash:
+            return False
+        if cls is ExternalChoice or cls is ProbChoice:
+            branches, other_branches = a.branches, b.branches
+            if branches is other_branches:
+                continue
+            if len(branches) != len(other_branches):
+                return False
+            for (key, sub), (other_key, other_sub) in zip(branches, other_branches):
+                if key != other_key:
+                    return False
+                if sub is not other_sub:
+                    push((sub, other_sub))
+        elif cls is Priority:
+            if a.body is not b.body:
+                push((a.body, b.body))
+        else:
+            if cls is SharedPar:
+                if a.sync is None:
+                    pin(a)
+                if b.sync is None:
+                    pin(b)
+                if a.sync != b.sync:
+                    return False
+            if a.left is not b.left:
+                push((a.left, b.left))
+            if a.right is not b.right:
+                push((a.right, b.right))
+    return True
+
+
 def _reduce(term):
     """Rebuild the term through its constructor, which validates it again and
     recomputes its stored hash: `str` hashes differ from process to process,
@@ -78,6 +125,7 @@ class ExternalChoice:
 
     __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
+    __eq__ = _equal
     __reduce__ = _reduce
 
     def __init__(self, branches: tuple[tuple[str, Term], ...]):
@@ -107,6 +155,7 @@ class ProbChoice:
 
     __slots__ = ("branches", "_hash", "_shared")
     __hash__ = _stored_hash
+    __eq__ = _equal
     __reduce__ = _reduce
 
     def __init__(self, branches: tuple[tuple[Fraction, Term], ...]):
@@ -142,6 +191,7 @@ class Priority:
 
     __slots__ = ("body", "_hash", "_shared")
     __hash__ = _stored_hash
+    __eq__ = _equal
     __reduce__ = _reduce
 
     def __init__(self, body: Term):
@@ -157,6 +207,7 @@ class SyncPar:
 
     __slots__ = ("left", "right", "_hash", "_shared")
     __hash__ = _stored_hash
+    __eq__ = _equal
     __reduce__ = _reduce
 
     def __init__(self, left: Term, right: Term):
@@ -180,6 +231,7 @@ class SharedPar:
 
     __slots__ = ("left", "right", "sync", "_hash", "_shared")
     __hash__ = _stored_hash
+    __eq__ = _equal
 
     def __init__(self, left: Term, right: Term):
         _set(self, "left", left)
@@ -187,15 +239,6 @@ class SharedPar:
         _set(self, "sync", None)
         _set(self, "_hash", hash((SharedPar, left._hash, right._hash)))
         _set(self, "_shared", 1 + left._shared + right._shared)
-
-    def __eq__(self, other):
-        if other.__class__ is not SharedPar:
-            return NotImplemented
-        if self.sync is None:
-            pin(self)
-        if other.sync is None:
-            pin(other)
-        return (self.left, self.right, self.sync) == (other.left, other.right, other.sync)
 
     def __reduce__(self):  # a stepped composition's set is not its operands'
         return SharedPar, (self.left, self.right), self.sync

@@ -138,6 +138,26 @@ class _Outcomes:
         return out
 
 
+def _outcome_pair(left: Pts, right: Pts) -> tuple[_Outcomes, _Outcomes]:
+    """The two sides' evaluators, stepping test terms with one `_Compiler`.
+
+    Graphs that hold the same three maps (as `semantics.compile_pair`
+    builds them) are one graph from two roots: a state's outcome is the same
+    from either side, so the sides share one memo and one unit-step cache.
+    Sharing is told by the maps' identity, all three of them.
+    """
+    steps = _Compiler(EMPTY_ORDER)
+    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
+    if (
+        left.kinds is right.kinds
+        and left.actions is right.actions
+        and left.weighted is right.weighted
+    ):
+        right_outcomes._memo = left_outcomes._memo
+        right_outcomes._unit_steps = left_outcomes._unit_steps
+    return left_outcomes, right_outcomes
+
+
 # The constant n / d, cached by ints, which hash faster than a Fraction.
 _scalar = lru_cache(maxsize=1024)(lambda n, d: RationalFn.scalar(Fraction(n, d)))
 
@@ -302,9 +322,12 @@ def _differing_depth(left: _Outcomes, right: _Outcomes, depth: int) -> int | Non
     mass the functional puts on each menu, and with it the children's
     totals.  So the answer is the same for tests over any labels as over
     the relevant universes, whatever the level.  Functionals are memoized
-    per remaining depth and coefficient polynomials.
+    per remaining depth and coefficient polynomials.  When the two sides
+    share one memo they read one graph, so a functional whose two
+    coefficient maps are identical sends every test to 0.
     """
     memo: dict[tuple, int | None] = {}
+    shared = left._memo is right._memo
 
     def key(coefficients: dict[int, RationalFn]) -> frozenset:
         return frozenset((state, _shape(c)) for state, c in coefficients.items())
@@ -314,7 +337,10 @@ def _differing_depth(left: _Outcomes, right: _Outcomes, depth: int) -> int | Non
         functional differs from its value at success, or None."""
         if remaining == 0:
             return None
-        memo_key = (remaining, key(alpha), key(beta))
+        left_key, right_key = key(alpha), key(beta)
+        if shared and left_key == right_key:
+            return None
+        memo_key = (remaining, left_key, right_key)
         if memo_key in memo:
             return memo[memo_key]
         label_sets = _label_sets(_offered(alpha, left) | _offered(beta, right))
@@ -429,9 +455,7 @@ def bounded_testing_equivalent(
                 f"bounded testing search up to depth {depth} has {size} tests, "
                 f"over the budget of {budget}"
             )
-    steps = _Compiler(EMPTY_ORDER)
-    left_outcomes = _Outcomes(left, steps)
-    right_outcomes = _Outcomes(right, steps)
+    left_outcomes, right_outcomes = _outcome_pair(left, right)
     found = _differing_depth(left_outcomes, right_outcomes, depth)
     if found is None:
         return TestVerdict(True, depth)
@@ -485,8 +509,7 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
     start = (lt.start(left.root), rt.start(right.root))
     if views_differ(lt, rt, start, memo) is None:
         return None
-    steps = _Compiler(EMPTY_ORDER)
-    left_outcomes, right_outcomes = _Outcomes(left, steps), _Outcomes(right, steps)
+    left_outcomes, right_outcomes = _outcome_pair(left, right)
     witness = None
     for (lpos, rpos), step in reversed(differing_path(memo, start)):
         if len(step) == 1:

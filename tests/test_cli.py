@@ -195,16 +195,18 @@ def test_unreadable_weight_is_a_positioned_parse_error(capsys):
 
 
 def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
-    # Exit 1 would claim the two operands were distinguished.
-    def broken(left, right):
-        raise RuntimeError("a fault")
+    # Exit 1 would claim the two operands were distinguished.  A line break
+    # in the message is printed as a space.
+    for message in ("a fault", "a fault\nover two lines"):
 
-    monkeypatch.setattr(cli, "ready_trace_equivalent", broken)
-    code, out, err = run_cli(capsys, "equiv", "a", "a")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
+        def broken(left, right):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "ready_trace_equivalent", broken)
+        code, out, err = run_cli(capsys, "equiv", "a", "a")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: internal RuntimeError: {message.replace(chr(10), ' ')}\n"
 
 
 def test_deep_prefix_chains_get_answers_from_every_command():
@@ -313,6 +315,21 @@ def test_composition_warning_goes_to_stderr(capsys):
     )
     assert code == 0
     assert "associative" in err
+
+
+def test_two_operands_are_read_and_warned_on_left_first(capsys):
+    left = "(a->b->0 |[]| b->c->0) |[]| c->a->0"
+    right = "(d->e->0 |[]| e->f->0) |[]| f->d->0"
+    warning = (
+        "warning: components 0, 1 and 2 of a |[]| chain share actions pairwise "
+        "(%s); the chain is not associative"
+    )
+    refusal = "error: expected an action label, found 'end of input' (line 1, column 5)\n"
+    for command in ("equiv", "distinguish"):
+        code, _, err = run_cli(capsys, command, left, right)
+        assert code == 0  # both chains deadlock
+        assert err.splitlines() == [warning % "['a', 'b', 'c']", warning % "['d', 'e', 'f']"]
+        assert run_cli(capsys, command, "a ->", ")") == (2, "", refusal)
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -1,6 +1,6 @@
 """Interned positions: the integer table against the Fraction views it
-replaced, refused and mutated hand-made graphs, conditioning counts, and
-graphs too deep for recursion."""
+replaced, refused and mutated hand-made graphs, conditioning counts, pairs
+decided on one joint graph, and graphs too deep for recursion."""
 
 import random
 import re
@@ -13,12 +13,22 @@ from math import gcd
 
 import pytest
 
+from probproc import readytrace
+from probproc.fixtures import (
+    COIN_MACHINE_EARLY,
+    COIN_MACHINE_LATE,
+    MIXED_FOLLOWUP_FIRST,
+    MIXED_FOLLOWUP_SECOND,
+    PREFIX_DISTRIB_LEFT,
+    PREFIX_DISTRIB_RIGHT,
+)
 from probproc.harness import (
     GenConfig,
     context_distribution_pair,
     equivalent_pair,
     prefix_distribution_pair,
     random_priority_order,
+    random_term,
 )
 from probproc.parser import parse_term, parse_test
 from probproc.pts import MenuNotOffered, Positions, Pts, _edges, format_menu, validate
@@ -28,10 +38,10 @@ from probproc.readytrace import (
     ready_trace_equivalent,
     trace_probability,
 )
-from probproc.semantics import _Compiler, compile_term
-from probproc.terms import EMPTY_ORDER, ExternalChoice, success
+from probproc.semantics import _Compiler, compile_pair, compile_term
+from probproc.terms import EMPTY_ORDER, ExternalChoice, render, success
 from probproc import testing
-from probproc.testing import _Outcomes, apply_test, distinguishing_test
+from probproc.testing import _Outcomes, _outcome_pair, apply_test, distinguishing_test
 
 from helpers import build, iter_ready_traces, tree_signature
 
@@ -612,6 +622,104 @@ def test_label_set_shares_are_built_once_across_tests():
     info = testing._share.cache_info()
     assert info.misses == info.currsize >= 3
     assert info.hits > 0
+
+
+# --- one walk for both operands ------------------------------------------------
+
+
+def _pair_corpus():
+    """The fixture pairs, then per config 98 seeded pairs, equivalent and
+    random in turn, each with a random priority order."""
+    fixtures = [
+        (COIN_MACHINE_EARLY, COIN_MACHINE_LATE),
+        (MIXED_FOLLOWUP_FIRST, MIXED_FOLLOWUP_SECOND),
+        (PREFIX_DISTRIB_LEFT, PREFIX_DISTRIB_RIGHT),
+        ("a->p{1/2:b, 1/2:c}", "p{1/2:a->b, 1/2:a->c}"),
+    ]
+    for left, right in fixtures:
+        yield parse_term(left), parse_term(right), EMPTY_ORDER
+    for cfg in (GenConfig(2, 3, seed=20260809), GenConfig(3, 3, seed=7)):
+        rng = random.Random(cfg.seed)
+        for index in range(98):
+            if index % 2 == 0:
+                left, right = equivalent_pair(cfg, rng)
+            else:
+                left, right = random_term(cfg, rng), random_term(cfg, rng)
+            yield left, right, random_priority_order(cfg, rng)
+
+
+def _decisions(left: Pts, right: Pts) -> list:
+    """Everything the two semantics print about a pair."""
+    verdict = ready_trace_equivalent(left, right)
+    shown = [verdict.describe()]
+    witness = distinguishing_test(left, right)
+    if witness is not None:
+        compiled = compile_term(witness)
+        shown += [render(witness), str(apply_test(left, compiled)), str(apply_test(right, compiled))]
+    shown.append(testing.bounded_testing_equivalent(left, right, depth=2).describe())
+    return shown
+
+
+def test_the_joint_decision_equals_the_separate_one():
+    distinguished = shared = 0
+    for left, right, order in _pair_corpus():
+        apart = compile_term(left, order), compile_term(right, order)
+        joint = compile_pair(left, right, order)
+        assert joint[0].positions is joint[1].positions
+        assert joint[0]._settled is joint[1]._settled
+        assert (joint[0].alphabet, joint[1].alphabet) == (apart[0].alphabet, apart[1].alphabet)
+        expected = _decisions(*apart)
+        assert _decisions(*joint) == expected, (render(left), render(right))
+        distinguished += expected[0] != "equivalent"
+        shared += len(joint[0].kinds) < len(apart[0].kinds) + len(apart[1].kinds)
+    assert 50 < distinguished < 150
+    assert shared > 100
+
+
+def test_a_joint_walk_compiles_each_shared_state_once():
+    left, right = parse_term("a->p{1/2:b, 1/2:c}"), parse_term("p{1/2:a->b, 1/2:a->c}")
+    apart = compile_term(left), compile_term(right)
+    joint = compile_pair(left, right)
+    assert [len(graph.kinds) for graph in apart] == [5, 6]
+    assert len(joint[0].kinds) == 8
+    assert (joint[0].root, joint[1].root) == (0, 1)
+    # One root alone is numbered as compile_term numbers it.
+    alone = compile_pair(left, left)
+    assert (alone[0].root, alone[1].root) == (0, 0)
+    assert (alone[0].kinds, alone[0].actions, alone[0].weighted) == (
+        apart[0].kinds,
+        apart[0].actions,
+        apart[0].weighted,
+    )
+
+
+def test_a_graph_paired_with_itself_is_equivalent_on_sight(monkeypatch):
+    # A position paired with itself is not expanded, and a functional whose
+    # two coefficient maps are identical is not stepped.
+    def refused(*args):
+        raise AssertionError("a pair was expanded")
+
+    monkeypatch.setattr(readytrace, "_first_differing_menu", refused)
+    monkeypatch.setattr(Positions, "_condition", refused)
+    monkeypatch.setattr(_Outcomes, "unit_step", refused)
+    graph = compile_term(parse_term(COIN_MACHINE_EARLY))
+    assert ready_trace_equivalent(graph, graph).equivalent
+    assert distinguishing_test(graph, graph) is None
+    assert testing.bounded_testing_equivalent(graph, graph, depth=3).equivalent
+
+
+def test_sides_share_outcomes_only_on_the_same_three_maps():
+    graph = compile_term(parse_term(COIN_MACHINE_LATE))
+    other_root = next(state for state in graph.kinds if state != graph.root)
+    for twin, shared in [
+        (replace(graph, root=other_root), True),
+        (replace(graph, weighted=dict(graph.weighted)), False),
+        (replace(graph, actions=dict(graph.actions)), False),
+        (replace(graph, kinds=dict(graph.kinds)), False),
+    ]:
+        left, right = _outcome_pair(graph, twin)
+        assert (left._memo is right._memo) == shared
+        assert (left._unit_steps is right._unit_steps) == shared
 
 
 # --- depth -------------------------------------------------------------------

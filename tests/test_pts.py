@@ -253,6 +253,18 @@ _MALFORMED = {
         _maps({0: "p", 1: "n"}, {}, {0: 5}),
         ["weighted tuple of state 0 is not a tuple of pairs: 5"],
     ),
+    "a weighted successor that cannot be hashed": (
+        _maps({0: "p", 1: "n"}, {}, {0: ((F(1), [1]),)}),
+        ["probabilistic edge (0,1,[1]) uses unknown state"],
+    ),
+    "an action successor that cannot be hashed": (
+        _maps({0: "n", 1: "n"}, {0: {"a": [1]}}, {}),
+        ["action edge (0,a,[1]) uses unknown state"],
+    ),
+    "a root that cannot be hashed": (
+        _maps({0: "n"}, {}, {}, root=[0]),
+        ["root [0] is not a state"],
+    ),
     "a successor named twice": (
         _maps(
             {0: "p", 1: "n", 2: "n", 3: "n"},

@@ -157,6 +157,19 @@ def test_deep_terms_hash():
     assert {chain: 1}[chain] == 1
 
 
+def test_deep_terms_compare_without_recursion():
+    def chain(leaf):
+        term = leaf
+        for _ in range(10_000):
+            term = prefix("a", term)
+        return term
+
+    # Built apart, so no pair of subterms is one object.
+    assert chain(success()) == chain(success())
+    assert chain(success()) != chain(prefix("b"))
+    assert SharedPar(chain(Empty()), prefix("a")) == SharedPar(chain(Empty()), prefix("a"))
+
+
 def test_shared_alphabet_of_game_players():
     # |[]| synchronizes on the actions occurring in both operands, the set
     # that compiling pins at each composition.
