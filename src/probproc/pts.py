@@ -16,7 +16,8 @@ semantics read weighted steps through one routine per graph
 which is all an observer or a test can tell of a random choice.
 
 The reserved label "w" marks the success action of tests; it is never part
-of a declared alphabet.  Graphs are immutable after construction.
+of a declared alphabet.  A graph holds its caller's maps, which must not
+change after its first analysis: only `validate` reads them uncached.
 """
 
 from __future__ import annotations
@@ -87,34 +88,8 @@ class Pts:
 
     @cached_property
     def _order(self) -> tuple[int, ...] | None:
-        """Every state, each after all of its successors, by an iterative
-        post-order over the graph's maps; None on a cycle, reachable or not."""
-        actions, weighted = self.actions, self.weighted
-        order: list[int] = []
-        done: set[int] = set()
-        active: set[int] = set()
-        for start in self.kinds:
-            if start in done:
-                continue
-            active.add(start)
-            stack = [(start, chain(actions[start].values(), map(_target, weighted[start])))]
-            while stack:
-                state, pending = stack[-1]
-                for dst in pending:
-                    if dst in active:
-                        return None
-                    if dst not in done:
-                        active.add(dst)
-                        stack.append(
-                            (dst, chain(actions[dst].values(), map(_target, weighted[dst])))
-                        )
-                        break
-                else:
-                    stack.pop()
-                    active.discard(state)
-                    done.add(state)
-                    order.append(state)
-        return tuple(order)
+        """The graph's `_post_order`, walked once per graph."""
+        return _post_order(self)
 
     @cached_property
     def is_acyclic(self) -> bool:
@@ -246,9 +221,41 @@ def validate(pts: Pts, allow_success: bool = False) -> list[str]:
         elif (total := sum(w for w, _ in pairs)) != 1:
             problems.append(f"weights leaving state {state} sum to {total}, not 1")
 
-    if not problems and not pts.is_acyclic:
+    if not problems and _post_order(pts) is None:
         problems.append(_CYCLE)
     return problems
+
+
+def _post_order(pts: Pts) -> tuple[int, ...] | None:
+    """Every state, each after all of its successors, by an iterative
+    post-order over the graph's maps as they are now; None on a cycle,
+    reachable or not."""
+    actions, weighted = pts.actions, pts.weighted
+    order: list[int] = []
+    done: set[int] = set()
+    active: set[int] = set()
+    for start in pts.kinds:
+        if start in done:
+            continue
+        active.add(start)
+        stack = [(start, chain(actions[start].values(), map(_target, weighted[start])))]
+        while stack:
+            state, pending = stack[-1]
+            for dst in pending:
+                if dst in active:
+                    return None
+                if dst not in done:
+                    active.add(dst)
+                    stack.append(
+                        (dst, chain(actions[dst].values(), map(_target, weighted[dst])))
+                    )
+                    break
+            else:
+                stack.pop()
+                active.discard(state)
+                done.add(state)
+                order.append(state)
+    return tuple(order)
 
 
 def _is_state(value, states: set) -> bool:

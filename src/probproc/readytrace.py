@@ -9,7 +9,8 @@ trace, given the observer's action choices: the value witnesses carry.  It
 is undefined (never zero) when a strict prefix of the trace already has
 probability zero.  Equivalence of two processes is equality of all the
 observation probabilities, each menu's conditioned on the history before
-it, decided over pairs of positions with memoization.  Positions are
+it, decided over pairs of positions by one walk that returns the path to
+the first pair whose menus differ (`differing_path`).  Positions are
 interned per graph with integer weights (`pts.Positions`), in one table for
 the two graphs of `semantics.compile_pair`; fractions are built only for
 the probabilities returned.
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .parser import _word_kind
-from .pts import Menu, Positions, Pts, format_menu
+from .pts import OMEGA, Menu, Positions, Pts, format_menu
 
 _WORD = re.compile(r"\w+")
 
@@ -94,7 +95,8 @@ class ReadyTrace:
 
 def parse_trace(text: str) -> ReadyTrace:
     """Parse the rendering `{h,t} -h-> {p} -p-> {}`; each menu label and
-    action must be a label as the term parser reads it."""
+    action must be a label as the term parser reads it in a process, so not
+    the reserved success label "w"."""
     menus: list[Menu] = []
     actions: list[str] = []
     rest = text.strip()
@@ -120,9 +122,10 @@ def parse_trace(text: str) -> ReadyTrace:
 
 
 def _label(word: str) -> str:
-    """The stripped word, if the term parser reads it as one label."""
+    """The stripped word, if the term parser reads it as one label of a
+    process, which the success label "w" is not."""
     label = word.strip()
-    if _WORD.fullmatch(label) and _word_kind(label) == "name":
+    if _WORD.fullmatch(label) and _word_kind(label) == "name" and label != OMEGA:
         return label
     raise ValueError(f"malformed label {label!r} in a ready trace")
 
@@ -177,62 +180,48 @@ class TraceVerdict:
         )
 
 
-def views_differ(lt: Positions, rt: Positions, start: tuple[int, int], memo: dict):
-    """The first observation on which a pair of positions, ids in the two
-    position tables, differs; None when they are equivalent.
+def differing_path(lt: Positions, rt: Positions, start: tuple[int, int]):
+    """Where a pair of positions, ids in the two position tables, first
+    differs; None when they are equivalent.
 
     The menu distributions must agree, and after every observable
-    menu/action step the positions must stay equivalent.  The result is
-    memoized per pair, as (menu,) when the menu's probabilities differ, or
-    (menu, action, child pair) when the pair agrees on menus and the child
-    after the menu and action differs; the first in menu then action
-    order.  Walks with an explicit stack, children in that order, so the
-    memo holds what the plain recursion would give.
+    menu/action step the positions must stay equivalent.  The path is the
+    pairs from `start` along the first differing steps, in menu then action
+    order, each with its step (menu, action, child pair), and last the pair
+    whose menus differ, with (menu,).  The walk's explicit stack is that
+    path when it meets the pair; each pair found equivalent is kept in a
+    set, so no pair is expanded twice.
 
     On one table a position paired with itself is equivalent on sight: one
-    id is one distribution over the same states.  Such a pair is neither
-    expanded nor memoized.
+    id is one distribution over the same states.  Such a pair is never
+    expanded.
     """
     same = lt is rt
     if same and start[0] == start[1]:
         return None
-    if start in memo:
-        return memo[start]
-    # Frames [pair, remaining steps, step being searched]; the graphs are
-    # acyclic, so no pair is on the stack twice.
+    equivalent: set[tuple[int, int]] = set()
+    # Frames [pair, remaining steps, step to the child being searched]; the
+    # graphs are acyclic, so no pair is on the stack twice.
     stack = [[start, None, None]]
     while stack:
         frame = stack[-1]
-        pair, steps, searched = frame
-        if searched is not None:
-            if memo[searched[2]] is not None:
-                memo[pair] = searched
-                stack.pop()
-                continue
-        elif steps is None:
+        pair, steps = frame[0], frame[1]
+        if steps is None:
             menu = _first_differing_menu(lt, pair[0], rt, pair[1])
             if menu is not None:
-                memo[pair] = (menu,)
-                stack.pop()
-                continue
+                return [(above[0], above[2]) for above in stack[:-1]] + [(pair, (menu,))]
             ordered = sorted(lt.menus[pair[0]], key=menu_key)
             steps = frame[1] = ((menu, action) for menu in ordered for action in sorted(menu))
         for menu, action in steps:
             child = (lt.child(pair[0], menu, action), rt.child(pair[1], menu, action))
-            if same and child[0] == child[1]:
-                continue
-            if child not in memo:
+            if child not in equivalent and not (same and child[0] == child[1]):
                 frame[2] = (menu, action, child)
                 stack.append([child, None, None])
                 break
-            if memo[child] is not None:
-                memo[pair] = (menu, action, child)
-                stack.pop()
-                break
         else:
-            memo[pair] = None
+            equivalent.add(pair)
             stack.pop()
-    return memo[start]
+    return None
 
 
 def _first_differing_menu(lt: Positions, lpos: int, rt: Positions, rpos: int) -> Menu | None:
@@ -251,29 +240,14 @@ def _first_differing_menu(lt: Positions, lpos: int, rt: Positions, rpos: int) ->
     )
 
 
-def differing_path(memo: dict, pair: tuple[int, int]) -> list[tuple[tuple[int, int], tuple]]:
-    """The pairs from an inequivalent pair along the first differing steps
-    that `views_differ` memoized, each with its step: (menu, action, child
-    pair), and last the pair whose menus differ, with (menu,)."""
-    path = []
-    while True:
-        step = memo[pair]
-        path.append((pair, step))
-        if len(step) == 1:
-            return path
-        pair = step[2]
-
-
 def ready_trace_equivalent(left: Pts, right: Pts) -> TraceVerdict:
     """Decide observational equivalence; witnesses carry both probabilities,
     each the product of the menu probabilities along the trace.  The trace
-    is the differing path that `views_differ` memoized."""
+    is read off the differing path."""
     lt, rt = left.positions, right.positions
-    memo: dict = {}
-    pair = (lt.start(left.root), rt.start(right.root))
-    if views_differ(lt, rt, pair, memo) is None:
+    path = differing_path(lt, rt, (lt.start(left.root), rt.start(right.root)))
+    if path is None:
         return TraceVerdict(equivalent=True)
-    path = differing_path(memo, pair)
     trace = ReadyTrace(
         tuple(step[0] for _, step in path), tuple(step[1] for _, step in path[:-1])
     )

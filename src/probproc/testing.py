@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .pts import OMEGA, Pts
 from .ratfunc import RationalFn
-from .readytrace import differing_path, views_differ
+from .readytrace import differing_path
 from .semantics import _Compiler
 from .terms import EMPTY_ORDER, ExternalChoice, Term, render, success
 
@@ -477,8 +477,8 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
 
     Returns None when the processes are observationally equivalent (then no
     test can separate them).  Otherwise the test follows the differing path
-    of the ready-trace verdict (`readytrace.differing_path`) and is built
-    from its end upwards.  The last pair first differs at a menu M: probe
+    that the ready-trace walk returns (`readytrace.differing_path`), and is
+    built from its end upwards.  The last pair first differs at a menu M: probe
     every action outside M.  A pair above first differs at a step (M, a):
     take the first candidate a.W [] (sum of b.w over b in E) that tells it
     apart, W being the test one level down and E each subset, by size and
@@ -505,13 +505,12 @@ def distinguishing_test(left: Pts, right: Pts) -> Term | None:
     come earlier, so the outcomes differ by p_R(M) - p_L(M).
     """
     lt, rt = left.positions, right.positions
-    memo: dict = {}
-    start = (lt.start(left.root), rt.start(right.root))
-    if views_differ(lt, rt, start, memo) is None:
+    path = differing_path(lt, rt, (lt.start(left.root), rt.start(right.root)))
+    if path is None:
         return None
     left_outcomes, right_outcomes = _outcome_pair(left, right)
     witness = None
-    for (lpos, rpos), step in reversed(differing_path(memo, start)):
+    for (lpos, rpos), step in reversed(path):
         if len(step) == 1:
             outside = sorted((left.alphabet | right.alphabet) - step[0])
             probe = tuple((b, success()) for b in outside)

@@ -104,6 +104,7 @@ def test_trace_prob_refuses_a_malformed_trace(capsys):
         ("{a} -1-> {}", "'1'"),
         ("{a} -a b-> {}", "'a b'"),
         ("{2a}", "'2a'"),
+        ("{w}", "'w'"),
     ]:
         code, out, err = run_cli(capsys, "trace-prob", "a->0", "--trace", trace)
         assert (code, out) == (2, "")

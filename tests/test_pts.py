@@ -309,6 +309,17 @@ def test_every_analysis_refuses_a_graph_validate_reports(graph, problems):
         assert str(caught.value) == message
 
 
+def test_validate_reads_the_maps_as_they_are_now():
+    """A cycle added to a hand-written graph after its first analysis is
+    reported, as it is for a fresh graph of the same maps."""
+    graph = _maps({0: "n", 1: "n", 2: "n"}, {0: {"a": 1}, 1: {"a": 2}}, {})
+    menu_distribution(graph)
+    graph.actions[2]["b"] = 1
+    assert validate(graph) == ["graph contains a cycle"]
+    fresh = _maps(graph.kinds, graph.actions, graph.weighted)
+    assert validate(fresh) == ["graph contains a cycle"]
+
+
 def _naive_action_depth(graph: Pts, state: int) -> int:
     actions = [1 + _naive_action_depth(graph, dst) for dst in graph.actions[state].values()]
     weighted = [_naive_action_depth(graph, dst) for _, dst in graph.weighted[state]]

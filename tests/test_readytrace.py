@@ -1,10 +1,13 @@
 """Observation probabilities: distributions, traces, and equivalence."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from probproc import readytrace
 from probproc.fixtures import (
     COIN_MACHINE_EARLY,
     COIN_MACHINE_LATE,
@@ -23,7 +26,7 @@ from probproc.readytrace import (
     ready_trace_equivalent,
     trace_probability,
 )
-from probproc.semantics import compile_term
+from probproc.semantics import compile_pair, compile_term
 
 from helpers import build, derived_process, iter_ready_traces
 
@@ -152,6 +155,38 @@ def test_distinguishing_trace_of_the_mixed_pair():
 def test_equivalence_is_reflexive():
     machine = graph(COIN_MACHINE_EARLY)
     assert ready_trace_equivalent(machine, machine).equivalent
+
+
+def _coin_chain(machine: str, k: int) -> str:
+    """k copies of a coin machine under |[]|, copy i's actions suffixed i,
+    so the copies share no action and interleave."""
+    copies = (re.sub(r"\b([htp])(?=->)", rf"\g<1>{i}", machine) for i in range(k))
+    return " |[]| ".join(f"({copy})" for copy in copies)
+
+
+@pytest.mark.parametrize("k, separate, joint", [(2, 12, 5), (3, 47, 28), (4, 174, 127)])
+def test_each_position_pair_is_expanded_once(monkeypatch, k, separate, joint):
+    """A chain's pairs are reached along many interleavings; the walk keeps
+    each pair it finds equivalent, so it expands every pair once, on two
+    separate graphs and on the one graph of `compile_pair`."""
+    left, right = (
+        parse_term(_coin_chain(machine, k)) for machine in (COIN_MACHINE_EARLY, COIN_MACHINE_LATE)
+    )
+    calls = Counter()
+    first_differing_menu = readytrace._first_differing_menu
+
+    def counting(lt, lpos, rt, rpos):
+        calls[lpos, rpos] += 1
+        return first_differing_menu(lt, lpos, rt, rpos)
+
+    monkeypatch.setattr(readytrace, "_first_differing_menu", counting)
+    for graphs, pairs in [
+        ((compile_term(left), compile_term(right)), separate),
+        (compile_pair(left, right), joint),
+    ]:
+        calls.clear()
+        assert ready_trace_equivalent(*graphs).equivalent
+        assert (len(calls), set(calls.values())) == (pairs, {1})
 
 
 def test_cyclic_inputs_rejected():
