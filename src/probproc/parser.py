@@ -47,6 +47,7 @@ _SYMBOLS = ["|[]|", "[]", "||", "->", "{", "}", "(", ")", ",", ":", "/"]
 # each of its characters.
 _TOKEN = re.compile(r"\s*(%s|\w+|\S)" % "|".join(map(re.escape, _SYMBOLS)))
 _SYMBOL_KINDS = {symbol: symbol for symbol in _SYMBOLS}
+_WORD = re.compile(r"\w+")
 
 
 def _word_kind(word: str) -> str | None:
@@ -55,6 +56,17 @@ def _word_kind(word: str) -> str | None:
     if word[0].isalpha() or word[0] == "_":
         return "name"
     return None
+
+
+def _label(word: str, where: str) -> str:
+    """The stripped word, if the term parser reads it as one label of a
+    process, which the success label "w" is not; a ValueError that names
+    where the word stood, if not.  The one label rule for ready traces and
+    priority orders."""
+    label = word.strip()
+    if _WORD.fullmatch(label) and _word_kind(label) == "name" and label != OMEGA:
+        return label
+    raise ValueError(f"malformed label {label!r} in {where}")
 
 
 def _tokenize(text: str) -> tuple[list[str], list[str]]:
@@ -270,16 +282,25 @@ def parse_test(text: str) -> Term:
 
 
 def parse_priority(text: str) -> PriorityOrder:
-    """Read a priority order from lines of the form `a > b`."""
+    """Read a priority order from lines of the form `a > b`, each side a
+    label as a process reads it."""
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        parts = [part.strip() for part in line.split(">")]
-        if len(parts) != 2 or not all(parts):
+        sides = line.split(">")
+        if len(sides) != 2 or not all(side.strip() for side in sides):
             raise ParseError(f"expected 'a > b', found {raw.strip()!r}", lineno, 1)
-        pairs.append((parts[0], parts[1]))
+        high, low = sides
+        pair = []
+        for side, start in ((high, 1), (low, len(high) + 2)):
+            try:
+                pair.append(_label(side, "a priority order"))
+            except ValueError as exc:
+                column = start + len(side) - len(side.lstrip())
+                raise ParseError(str(exc), lineno, column) from None
+        pairs.append(tuple(pair))
     try:
         return PriorityOrder(tuple(pairs))
     except ValueError as exc:

@@ -8,7 +8,7 @@ the choice offered by a nondeterministic state is between actions only,
 and a tuple of (weight, successor) pairs, at most one per successor.
 
 Every analysis reads only graphs that `validate` passes: a graph that
-`compile_term` builds is handed over as valid, any other is checked once by
+`semantics` compiles is handed over as valid, any other is checked once by
 `Pts.require_valid`, the one gate, before the first analysis reads it.  So
 a weighted step always leads to a nondeterministic state, and both
 semantics read weighted steps through one routine per graph
@@ -54,8 +54,9 @@ class Pts:
     """A graph: per state its kind, its action map and its weighted tuple,
     `{}` and `()` for a state of the other kind.
 
-    `compile_term` builds the maps in its walk and hands them, with the fact
-    that `validate` passes the graph, to `Pts.valid`.  The maps must not
+    `semantics` builds the maps in its walk and hands them, with the fact
+    that `validate` passes the graph, to `Pts.valid`; `steps` reads them
+    for one state the way a test term is stepped.  The maps must not
     change after the graph's first analysis: the gate's verdict and the
     tables read from them are cached per graph.
     """
@@ -77,7 +78,7 @@ class Pts:
         """A graph its builder knows `validate` to pass, never checked or
         walked to find out."""
         pts = Pts(alphabet, kinds, actions, weighted, root)
-        pts.__dict__.update(is_acyclic=True, _problems=())
+        pts.__dict__.update(_problems=())
         return pts
 
     def menu(self, state: int) -> Menu:
@@ -86,15 +87,16 @@ class Pts:
             raise ValueError(f"state {state} is probabilistic and offers no menu")
         return frozenset(self.actions[state])
 
+    def steps(self, state: int) -> tuple[tuple[tuple[Fraction, int], ...], Mapping[str, int]]:
+        """The state's weighted tuple and action map: what
+        `semantics._Compiler.steps` gives for a term, so a test runs the same
+        from its term or its graph."""
+        return self.weighted[state], self.actions[state]
+
     @cached_property
     def _order(self) -> tuple[int, ...] | None:
         """The graph's `_post_order`, walked once per graph."""
         return _post_order(self)
-
-    @cached_property
-    def is_acyclic(self) -> bool:
-        """Handed over by `Pts.valid`, else read off `_order`."""
-        return self._order is not None
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -311,7 +313,7 @@ def _settle(kinds, weighted, state: int) -> tuple[int, tuple[tuple[int, int], ..
 
 class Positions:
     """The positions of one graph, interned to ints; the two graphs that
-    `semantics.compile_pair` builds on one set of maps share one table.
+    `semantics.compile_pair` builds differ only in root and share one table.
 
     A position's key is its distribution, which is also its list of
     branches: the (weight, settled state) pairs sorted by state, with integer

@@ -18,15 +18,12 @@ the probabilities returned.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .parser import _word_kind
-from .pts import OMEGA, Menu, Positions, Pts, format_menu
-
-_WORD = re.compile(r"\w+")
+from .parser import _label
+from .pts import Menu, Positions, Pts, format_menu
 
 
 def menu_key(menu: Menu):
@@ -107,7 +104,8 @@ def parse_trace(text: str) -> ReadyTrace:
         if close < 0:
             raise ValueError(f"unterminated menu in {text!r}")
         inside = rest[1:close]
-        menus.append(frozenset(map(_label, inside.split(","))) if inside.strip() else frozenset())
+        words = inside.split(",") if inside.strip() else ()
+        menus.append(frozenset(_label(word, "a ready trace") for word in words))
         rest = rest[close + 1 :].strip()
         if not rest:
             break
@@ -116,18 +114,9 @@ def parse_trace(text: str) -> ReadyTrace:
         arrow = rest.find("->")
         if arrow < 0:
             raise ValueError(f"malformed arrow in {text!r}")
-        actions.append(_label(rest[1:arrow]))
+        actions.append(_label(rest[1:arrow], "a ready trace"))
         rest = rest[arrow + 2 :].strip()
     return ReadyTrace(tuple(menus), tuple(actions))
-
-
-def _label(word: str) -> str:
-    """The stripped word, if the term parser reads it as one label of a
-    process, which the success label "w" is not."""
-    label = word.strip()
-    if _WORD.fullmatch(label) and _word_kind(label) == "name" and label != OMEGA:
-        return label
-    raise ValueError(f"malformed label {label!r} in a ready trace")
 
 
 # --- probabilities ---------------------------------------------------------

@@ -18,7 +18,9 @@ The synchronization set of |[]| is the set of actions occurring syntactically
 in both operands, fixed when the composition is first built (in its `sync`
 slot, which `terms.pin` fills in place: compiling rebuilds no term) and kept
 while the operands evolve.  A state is probabilistic exactly when it has
-weighted steps; equal subterms share one graph state.
+weighted steps; equal subterms share one graph state.  One call answers the
+rules for a term, `_Compiler.steps`: the walk makes it for each state, and
+`testing` for each node of a test term it runs.
 """
 
 from __future__ import annotations
@@ -42,82 +44,70 @@ from .terms import (
 
 
 class _Compiler:
+    """The step rules under one priority order, with one cache of each
+    term's steps but an external choice's, which are its own branches."""
+
     def __init__(self, order: PriorityOrder):
         self.order = order
-        self._prob_cache: dict[object, tuple[tuple[Fraction, object], ...]] = {}
-        self._action_cache: dict[object, dict[str, object]] = {}
+        self._cache: dict[object, tuple] = {}
 
-    def prob_steps(self, node) -> tuple[tuple[Fraction, object], ...]:
-        if isinstance(node, ExternalChoice):  # the commonest node, never weighted
-            return ()
-        cached = self._prob_cache.get(node)
+    def steps(self, node) -> tuple[tuple[tuple[Fraction, object], ...], dict[str, object]]:
+        """The node's weighted steps, nested choices flattened, and its action
+        map, empty when there are weighted steps: so either operand of |[]|
+        may act alone on an unshared label.  `Pts.steps` answers the same
+        call for a state of a compiled graph."""
+        if isinstance(node, ExternalChoice):  # its own branches; a cache would mostly miss
+            return (), dict(node.branches)
+        cached = self._cache.get(node)
         if cached is not None:
             return cached
-        out: list[tuple[Fraction, object]] = []
+        weighted: list[tuple[Fraction, object]] = []
+        actions: dict[str, object] = {}
         if isinstance(node, ProbChoice):
             for weight, sub in node.branches:
-                inner = () if isinstance(sub, ExternalChoice) else self.prob_steps(sub)
+                inner = () if isinstance(sub, ExternalChoice) else self.steps(sub)[0]
                 if inner:
-                    out += [(weight * r, target) for r, target in inner]
+                    weighted += [(weight * r, target) for r, target in inner]
                 else:
-                    out.append((weight, sub))
+                    weighted.append((weight, sub))
         elif isinstance(node, Priority):
-            out = [(w, Priority(t)) for w, t in self.prob_steps(node.body)]
+            inner, body = self.steps(node.body)
+            weighted = [(w, Priority(t)) for w, t in inner]
+            actions = {
+                label: Priority(target)
+                for label, target in body.items()
+                if not any(self.order.higher(other, label) for other in body)
+            }
         elif isinstance(node, (SyncPar, SharedPar)):
             if node.__class__ is SharedPar and node.sync is None:
                 pin(node)
-            lp, rp = self.prob_steps(node.left), self.prob_steps(node.right)
+            (lp, left), (rp, right) = self.steps(node.left), self.steps(node.right)
             step = SyncPar if node.__class__ is SyncPar else node._step
             if lp and rp:
-                out = [(w * r, step(lt, rt)) for w, lt in lp for r, rt in rp]
+                weighted = [(w * r, step(lt, rt)) for w, lt in lp for r, rt in rp]
             elif lp:
-                out = [(w, step(lt, node.right)) for w, lt in lp]
+                weighted = [(w, step(lt, node.right)) for w, lt in lp]
             elif rp:
-                out = [(r, step(node.left, rt)) for r, rt in rp]
-        result = tuple(out)
-        self._prob_cache[node] = result
-        return result
-
-    def action_steps(self, node) -> dict[str, object]:
-        """The node's action steps.  Only a node without weighted steps is
-        asked for them, and then its operands have none either, so either
-        operand of |[]| may act alone on an unshared label."""
-        if isinstance(node, ExternalChoice):  # its own branches; a cache would mostly miss
-            return dict(node.branches)
-        cached = self._action_cache.get(node)
-        if cached is not None:
-            return cached
-        out: dict[str, object] = {}
-        if isinstance(node, Priority):
-            steps = self.action_steps(node.body)
-            out = {
-                label: Priority(target)
-                for label, target in steps.items()
-                if not any(self.order.higher(other, label) for other in steps)
-            }
-        elif isinstance(node, SyncPar):
-            left, right = self.action_steps(node.left), self.action_steps(node.right)
-            out = {
-                label: SyncPar(left[label], right[label])
-                for label in left.keys() & right.keys()
-            }
-        elif isinstance(node, SharedPar):
-            if node.sync is None:
-                pin(node)
-            left, right = self.action_steps(node.left), self.action_steps(node.right)
-            sync, step = node.sync, node._step
-            for label, target in left.items():
-                if label not in sync:
-                    out[label] = step(target, node.right)
-                elif label in right:
-                    out[label] = step(target, right[label])
-            for label, target in right.items():
-                if label in sync:
-                    continue
-                if label in out:
-                    raise ValueError(f"both operands of |[]| interleave label {label!r}")
-                out[label] = step(node.left, target)
-        self._action_cache[node] = out
+                weighted = [(r, step(node.left, rt)) for r, rt in rp]
+            elif node.__class__ is SyncPar:
+                actions = {
+                    label: SyncPar(left[label], right[label])
+                    for label in left.keys() & right.keys()
+                }
+            else:
+                sync = node.sync
+                for label, target in left.items():
+                    if label not in sync:
+                        actions[label] = step(target, node.right)
+                    elif label in right:
+                        actions[label] = step(target, right[label])
+                for label, target in right.items():
+                    if label in sync:
+                        continue
+                    if label in actions:
+                        raise ValueError(f"both operands of |[]| interleave label {label!r}")
+                    actions[label] = step(node.left, target)
+        out = self._cache[node] = (tuple(weighted), actions)
         return out
 
 
@@ -128,7 +118,8 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
     builds each state's action map and weighted tuple as it goes, merging
     weighted steps to one target by adding their weights, and hands them to
     `Pts.valid`: every step leads to a smaller term, and every weighted step
-    to a nondeterministic one, since `prob_steps` flattens nested choices.
+    to a nondeterministic one, since `_Compiler.steps` flattens nested
+    choices.
     """
     (pts,) = _walk((term,), order)
     return pts
@@ -137,9 +128,10 @@ def compile_term(term: Term, order: PriorityOrder = EMPTY_ORDER) -> Pts:
 def compile_pair(left: Term, right: Term, order: PriorityOrder = EMPTY_ORDER) -> tuple[Pts, Pts]:
     """The graphs of two terms from one walk: two roots over one numbering.
 
-    The two graphs hold the same maps, weighted closure and position table,
-    and differ only in root and alphabet, so a subterm the operands share is
-    one state, stepped and conditioned once for both.
+    The two graphs hold the same alphabet, maps, weighted closure and
+    position table, and differ only in root, so a subterm the operands share
+    is one state, stepped and conditioned once for both.  The alphabet is
+    the union of the operands', so that `validate` passes both graphs.
     """
     left_pts, right_pts = _walk((left, right), order)
     right_pts.__dict__.update(_settled=left_pts._settled, positions=left_pts.positions)
@@ -148,9 +140,10 @@ def compile_pair(left: Term, right: Term, order: PriorityOrder = EMPTY_ORDER) ->
 
 def _walk(terms: tuple[Term, ...], order: PriorityOrder) -> list[Pts]:
     """One graph per term, rooted at the term's state in one breadth-first
-    walk from all of them, the roots numbered first in the terms' order."""
+    walk from all of them, the roots numbered first in the terms' order.
+    Every graph gets the union of the terms' alphabets."""
     compiler = _Compiler(order)
-    alphabets = [pin(term) for term in terms]
+    labels = frozenset().union(*map(pin, terms))
     ids: dict[object, int] = {}
     nodes: list[object] = []
     for term in terms:
@@ -164,8 +157,8 @@ def _walk(terms: tuple[Term, ...], order: PriorityOrder) -> list[Pts]:
         if isinstance(node, ExternalChoice):  # the commonest node, never weighted
             steps, moves = (), node.branches
         else:
-            steps = compiler.prob_steps(node)
-            moves = () if steps else compiler.action_steps(node).items()
+            steps, moves = compiler.steps(node)
+            moves = moves.items()
         if steps:
             merged: dict[int, Fraction] = {}
             for weight, target in steps:
@@ -186,10 +179,7 @@ def _walk(terms: tuple[Term, ...], order: PriorityOrder) -> list[Pts]:
                     nodes.append(target)
             kinds[state], actions[state], weighted[state] = "n", out, ()
 
-    return [
-        Pts.valid(labels, kinds, actions, weighted, ids[term])
-        for labels, term in zip(alphabets, terms)
-    ]
+    return [Pts.valid(labels, kinds, actions, weighted, ids[term]) for term in terms]
 
 
 def composition_warnings(term: Term) -> list[str]:

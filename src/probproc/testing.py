@@ -46,9 +46,10 @@ _SHOWN_COUNT = 10**30
 class _Outcomes:
     """Outcomes of one process against many tests, sharing one memo.
 
-    A test is stepped by `steps`, whose `prob_steps(node)` lists weighted
-    successors and `action_steps(node)` maps labels to successors: a
-    `semantics._Compiler` steps test terms, `_GraphSteps` a compiled test.
+    A test node is stepped by one call, `tests.steps(node)`, which gives its
+    weighted successors and its map from labels to successors: a
+    `semantics._Compiler` steps test terms, a compiled test graph (`Pts`)
+    its own states.
 
     Running synchronizes the process state s with the test node t.  The
     cases are tried in this order: t offers success; s is probabilistic,
@@ -61,9 +62,9 @@ class _Outcomes:
     which decides on functionals rather than tests.
     """
 
-    def __init__(self, process: Pts, steps):
+    def __init__(self, process: Pts, tests):
         self.process = process
-        self.steps = steps
+        self._steps = tests.steps
         self._settled = process._settled
         self._memo: dict[tuple[int, object], RationalFn] = {}
         self._unit_steps: dict[tuple, tuple[dict[str, dict[int, RationalFn]], int, int]] = {}
@@ -116,9 +117,8 @@ class _Outcomes:
         out = self._memo.get(key)
         if out is not None:
             return out
-        process, steps = self.process, self.steps
-        weighted = steps.prob_steps(t)
-        actions = {} if weighted else steps.action_steps(t)
+        process = self.process
+        weighted, actions = self._steps(t)
         if OMEGA in actions:
             return _ONE
         out = _ZERO
@@ -176,19 +176,10 @@ def _shape(f: RationalFn) -> tuple:
     return frozenset(f.num.items()), frozenset(f.den.items())
 
 
-class _GraphSteps:
-    """Steps through a compiled test graph the way `_Compiler` steps terms:
-    the graph's own maps, `()` and `{}` for a state of the other kind."""
-
-    def __init__(self, test: Pts):
-        test.require_valid()
-        self.prob_steps = test.weighted.__getitem__
-        self.action_steps = test.actions.__getitem__
-
-
 def apply_test(process: Pts, test: Pts) -> RationalFn:
     """The exact symbolic outcome of running the test against the process."""
-    return _Outcomes(process, _GraphSteps(test)).of(test.root)
+    test.require_valid()
+    return _Outcomes(process, test).of(test.root)
 
 
 # --- canonical test enumeration ---------------------------------------------

@@ -145,6 +145,17 @@ def test_compile_with_priority_file(tmp_path, capsys):
     assert labels == {"a"}
 
 
+def test_equiv_refuses_a_priority_file_with_a_malformed_label(tmp_path, capsys):
+    # Read as labels, neither side would ever rank two actions of a process.
+    prio = tmp_path / "order.txt"
+    prio.write_text("a b > c\n")
+    code, out, err = run_cli(
+        capsys, "equiv", "prio(a->0 [] b->0)", "a->0", "--prio", str(prio)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: malformed label 'a b' in a priority order (line 1, column 1)\n"
+
+
 def test_input_from_file(tmp_path, capsys):
     path = tmp_path / "machine.term"
     path.write_text(COIN_MACHINE_EARLY)

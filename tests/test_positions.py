@@ -667,7 +667,9 @@ def test_the_joint_decision_equals_the_separate_one():
         joint = compile_pair(left, right, order)
         assert joint[0].positions is joint[1].positions
         assert joint[0]._settled is joint[1]._settled
-        assert (joint[0].alphabet, joint[1].alphabet) == (apart[0].alphabet, apart[1].alphabet)
+        labels = apart[0].alphabet | apart[1].alphabet
+        assert joint[0].alphabet == joint[1].alphabet == labels
+        assert validate(joint[0]) == validate(joint[1]) == []
         expected = _decisions(*apart)
         assert _decisions(*joint) == expected, (render(left), render(right))
         distinguished += expected[0] != "equivalent"

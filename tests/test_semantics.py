@@ -192,7 +192,8 @@ def test_compiled_random_terms_always_validate():
         order = random_priority_order(cfg, rng)
         graph = compile_term(term, order)
         assert validate(graph) == []
-        assert graph.is_acyclic and "_order" not in vars(graph)  # handed over, not walked
+        # handed over as valid, never walked to find out
+        assert vars(graph)["_problems"] == () and "_order" not in vars(graph)
         assert graph.alphabet == alphabet(term)
 
 
@@ -511,7 +512,7 @@ def test_terms_copy_and_pickle_through_their_constructors():
 
 def test_a_stepped_composition_keeps_its_sync_set_through_copies():
     term = parse_term("(a->c) |[]| (a->b)")
-    stepped = _Compiler(EMPTY_ORDER).action_steps(term)["a"]
+    stepped = _Compiler(EMPTY_ORDER).steps(term)[1]["a"]
     assert stepped.sync == frozenset({"a"})
     written = parse_term("c |[]| b")  # pins to the empty set
     assert stepped != written and hash(stepped) == hash(written)

@@ -232,6 +232,20 @@ def test_parse_priority_file():
     assert order.higher("a", "c")
     with pytest.raises(ParseError):
         parse_priority("a >")
+    # Each side is one label as a process reads it, so not "w".
+    for text, shown, column in [
+        ("a b > c", "'a b'", 1),
+        ("1 > 2", "'1'", 1),
+        ("w > a", "'w'", 1),
+        ("a > p{", "'p{'", 5),
+        ("a > b\n x  >  y z", "'y z'", 8),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_priority(text)
+        assert str(info.value) == (
+            f"malformed label {shown} in a priority order "
+            f"(line {text.count(chr(10)) + 1}, column {column})"
+        )
 
 
 def test_render_round_trip_pinned():

@@ -21,6 +21,7 @@ from probproc.harness import (
     _budget_depth,
     _random_term,
     equivalent_pair,
+    random_context,
     random_priority_order,
     random_term,
 )
@@ -32,6 +33,10 @@ from probproc.semantics import _Compiler, compile_term
 from probproc.terms import (
     EMPTY_ORDER,
     ExternalChoice,
+    Priority,
+    ProbChoice,
+    SharedPar,
+    SyncPar,
     alphabet,
     has_prob_choice,
     prefix,
@@ -427,6 +432,23 @@ def test_shared_term_evaluator_agrees_with_compiled_tests():
         assert reversed_outcomes[::-1] == expected
         checked += len(tests)
     assert checked > 5000
+
+
+def test_the_term_stepper_agrees_with_compiled_tests_of_every_operator():
+    """A test term built from every operator scores, stepped through the
+    compiler, what its compiled graph scores.  The two are compared as
+    functions: a compiled test merges weighted steps that reach one target,
+    so a few outcomes print as other sums of the same function."""
+    cfg = GenConfig(alphabet_size=3, max_depth=3, seed=11)
+    rng = random.Random(cfg.seed)
+    stepped_kinds = set()
+    for _ in range(400):
+        pts = compile_term(random_term(cfg, rng))
+        test = random_context(cfg, rng)(success())
+        compiler = _Compiler(EMPTY_ORDER)
+        assert _Outcomes(pts, compiler).of(test) == apply_test(pts, compile_term(test))
+        stepped_kinds |= {type(node) for node in compiler._cache}
+    assert {ProbChoice, Priority, SyncPar, SharedPar} <= stepped_kinds
 
 
 def _first_enumerated_difference(left: Pts, right: Pts, depth: int):
